@@ -21,7 +21,7 @@ from .encoding import (
     sum_row_vec,
 )
 from .engine import DepthReport, EngineConfig, OpTrace, PlainMask, SlotEngine, SlotVector, depth_report
-from .linalg import MatmulPlan, dvr_matmul, vr_matmul, vr_matmul_first_transposed
+from .linalg import dvr_matmul, vr_matmul, vr_matmul_first_transposed
 from .losses import (
     LossSpec,
     PolyApprox,
@@ -42,7 +42,7 @@ __all__ = [
     "roll_fill", "sum_col_vec", "sum_row_vec",
     "DepthReport", "EngineConfig", "OpTrace", "PlainMask", "SlotEngine",
     "SlotVector", "depth_report",
-    "MatmulPlan", "dvr_matmul", "vr_matmul", "vr_matmul_first_transposed",
+    "dvr_matmul", "vr_matmul", "vr_matmul_first_transposed",
     "LossSpec", "PolyApprox", "fit_sigmoid_poly", "loss_value", "s_matrix",
     "sigmoid", "softmax_reference",
     "ForwardTrace", "ModelParams", "backward", "forward", "init_params", "sgd_step",

@@ -1,124 +1,57 @@
-"""Hot slot-vector kernels: numba-compiled with a pure-numpy fallback.
+"""Hot slot-vector kernels, one numpy implementation.
 
-Set HENN_NO_NUMBA=1 to force the numpy path (also taken automatically when
-numba is not importable).  Both paths use identical IEEE operation order, so
-results are bit-for-bit equal; see benchmarks/bench_kernels.py for the
-speed comparison.
+Each kernel makes one pass over its operands into a single fresh output
+buffer and does the rest of its work in place there; inputs are never
+written.  Rotation is left-cyclic (slot i of the result reads slot i+k of
+the input) and the shift must already be reduced modulo the slot count.
+Quantization rounds to the nearest multiple of 1/scale with ties to even
+(IEEE rint).
 
-All kernels are pure: they allocate and return a fresh array.  Rotation is
-left-cyclic (slot i of the result reads slot i+k of the input) and the shift
-must already be reduced modulo the slot count.  Quantization rounds to the
-nearest multiple of 1/scale with ties to even (IEEE rint).
+``scale`` is always a power of two (2**logp).  Multiplying by the exact
+reciprocal 2**-logp then gives bit for bit what dividing by 2**logp gives:
+both are the correctly rounded value of the same real number x * 2**-logp,
+subnormal results included, and both keep signed zeros, infinities and NaN.
+The multiplication is several times cheaper than the division.
+
+``quantize`` and ``mult_rescale`` also accept numpy scalars and 0-d arrays
+(a structured mask's value, a one-hot slot) and then return a 0-d array.
 """
-
-import os
 
 import numpy as np
 
-DISABLE_ENV = "HENN_NO_NUMBA"
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# --- numpy reference implementations ---------------------------------------
-
-def np_rotate(a, k):
-    return np.roll(a, -k)
-
-
-def np_rotate_add(a, k):
-    return a + np.roll(a, -k)
-
-
-def np_quantize(a, scale):
-    return np.rint(a * scale) / scale
-
-
-def np_mult_rescale(a, b, scale):
-    return np.rint((a * b) * scale) / scale
-
-
-def np_cmult_rescale(a, m, scale):
-    mq = np.rint(m * scale) / scale
-    return np.rint((a * mq) * scale) / scale
-
-
+# There is no compiled path; perfbench's environment block reads this flag.
 HAS_NUMBA = False
-if not _disabled_by_env():
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def nb_rotate(a, k):
-        n = a.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n - k):
-            out[i] = a[i + k]
-        for i in range(n - k, n):
-            out[i] = a[i + k - n]
-        return out
-
-    @njit(cache=True)
-    def nb_rotate_add(a, k):
-        n = a.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n - k):
-            out[i] = a[i] + a[i + k]
-        for i in range(n - k, n):
-            out[i] = a[i] + a[i + k - n]
-        return out
-
-    @njit(cache=True)
-    def nb_quantize(a, scale):
-        n = a.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = np.rint(a[i] * scale) / scale
-        return out
-
-    @njit(cache=True)
-    def nb_mult_rescale(a, b, scale):
-        n = a.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = np.rint((a[i] * b[i]) * scale) / scale
-        return out
-
-    @njit(cache=True)
-    def nb_cmult_rescale(a, m, scale):
-        n = a.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            mq = np.rint(m[i] * scale) / scale
-            out[i] = np.rint((a[i] * mq) * scale) / scale
-        return out
-
-    rotate = nb_rotate
-    rotate_add = nb_rotate_add
-    quantize = nb_quantize
-    mult_rescale = nb_mult_rescale
-    cmult_rescale = nb_cmult_rescale
-else:
-    rotate = np_rotate
-    rotate_add = np_rotate_add
-    quantize = np_quantize
-    mult_rescale = np_mult_rescale
-    cmult_rescale = np_cmult_rescale
 
 
-def warmup():
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
-    a = np.zeros(8)
-    rotate(a, 1)
-    rotate_add(a, 1)
-    quantize(a, 2.0**30)
-    mult_rescale(a, a, 2.0**30)
-    cmult_rescale(a, a, 2.0**30)
+def rotate(a, k):
+    n = a.shape[0]
+    out = np.empty_like(a)
+    out[: n - k] = a[k:]
+    out[n - k :] = a[:k]
+    return out
+
+
+def rotate_add(a, k):
+    """a + rotate(a, k), the two wrap-around slices added straight into out."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    np.add(a[: n - k], a[k:], out=out[: n - k])
+    np.add(a[n - k :], a[:k], out=out[n - k :])
+    return out
+
+
+def quantize(a, scale):
+    """rint(a * scale) / scale."""
+    out = np.multiply(a, scale, out=np.empty_like(a, dtype=np.float64))
+    np.rint(out, out=out)
+    out *= 1.0 / scale
+    return out
+
+
+def mult_rescale(a, b, scale):
+    """rint((a * b) * scale) / scale."""
+    out = np.multiply(a, b, out=np.empty_like(a, dtype=np.float64))
+    out *= scale
+    np.rint(out, out=out)
+    out *= 1.0 / scale
+    return out

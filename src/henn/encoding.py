@@ -93,29 +93,23 @@ def decode_matrix(engine: SlotEngine, em: EncodedMatrix) -> np.ndarray:
 
 
 # --- mask builders ----------------------------------------------------------
+# Each builder returns a structured mask: one index expression and one value,
+# no dense array (see PlainMask).
 
 def one_hot_mask(engine: SlotEngine, idx: int) -> PlainMask:
-    m = np.zeros(engine.config.slots)
-    m[idx] = 1.0
-    return PlainMask(m)
+    return engine.mask_at(idx, 1.0)
 
 
 def prefix_mask(engine: SlotEngine, count: int, value: float = 1.0) -> PlainMask:
-    m = np.zeros(engine.config.slots)
-    m[:count] = value
-    return PlainMask(m)
+    return engine.mask_at(slice(count), value)
 
 
 def segment_mask(engine: SlotEngine, start: int, length: int, value: float = 1.0) -> PlainMask:
-    m = np.zeros(engine.config.slots)
-    m[start : start + length] = value
-    return PlainMask(m)
+    return engine.mask_at(slice(start, start + length), value)
 
 
 def strided_mask(engine: SlotEngine, start: int, stride: int, count: int, value: float = 1.0) -> PlainMask:
-    m = np.zeros(engine.config.slots)
-    m[start : start + stride * count : stride] = value
-    return PlainMask(m)
+    return engine.mask_at(slice(start, start + stride * count, stride), value)
 
 
 # --- generic rotate-and-add machinery ---------------------------------------

@@ -9,12 +9,21 @@ scale of 2**logp and charges one level per rescaling, raising DepthExhausted
 when the budget floor(logQ / logp) runs out.  No lattice noise is modeled, so
 all arithmetic is deterministic.
 
+The slot arithmetic runs through one numpy kernel path (``_kernels``); each
+op makes one pass over its operands.  A PlainMask is either dense (one value
+per slot) or structured: one value on the slots picked by one index
+expression (an int or a slice) and +0.0 elsewhere, with no dense array.  The
+mask builders in ``encoding`` make structured masks, quantized once when they
+are built; ``cmult`` with a structured mask touches only the picked slots
+beyond the ``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
+
 All operations are pure: inputs are never mutated and every result is a fresh
 vector.  An engine may carry an OpTrace; traces are not locked and must stay
 confined to one thread (ops on engines with distinct traces never interfere).
 """
 
 import itertools
+import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -87,16 +96,62 @@ class SlotVector:
 
 
 class PlainMask:
-    """Plaintext slot vector used as the second operand of cmult."""
+    """Plaintext slot vector used as the second operand of cmult.
 
-    __slots__ = ("slots",)
+    ``PlainMask(values)`` is dense.  ``PlainMask.structured(size, index,
+    value)`` holds ``value`` on ``slots[index]`` and +0.0 elsewhere; index is
+    an int (negative wraps, out of range raises) or a slice, with numpy's
+    semantics.  ``slots`` materialises either kind.  ``quantized(scale)`` is
+    the mask on the fixed-point grid, a scalar for a structured mask, and is
+    computed once per scale.
+    """
+
+    __slots__ = ("size", "index", "value", "_dense", "_scale", "_quantized")
 
     def __init__(self, slots: np.ndarray):
         slots.flags.writeable = False
-        self.slots = slots
+        self.size = slots.shape[0]
+        self.index = None
+        self.value = None
+        self._dense = slots
+        self._scale = None
+        self._quantized = None
+
+    @classmethod
+    def structured(cls, size: int, index, value: float) -> "PlainMask":
+        if isinstance(index, slice):
+            index.indices(size)  # a zero step raises here, at build time
+        else:
+            index = operator.index(index)
+            if not -size <= index < size:
+                raise IndexError(f"mask index {index} out of range for {size} slots")
+        m = cls.__new__(cls)
+        m.size = size
+        m.index = index
+        m.value = float(value)
+        m._dense = None
+        m._scale = None
+        m._quantized = None
+        return m
+
+    @property
+    def slots(self) -> np.ndarray:
+        if self.index is None:
+            return self._dense
+        out = np.zeros(self.size)
+        out[self.index] = self.value
+        out.flags.writeable = False
+        return out
+
+    def quantized(self, scale: float):
+        if self._scale != scale:
+            src = self._dense if self.index is None else self.value
+            self._quantized = _kernels.quantize(src, scale)
+            self._scale = scale
+        return self._quantized
 
     def __len__(self):
-        return self.slots.shape[0]
+        return self.size
 
 
 # Trace entry: (phase_index, op, in_uids, out_uid, consumed, out_level)
@@ -113,8 +168,10 @@ class OpTrace:
     @contextmanager
     def phase(self, label: str):
         self.begin_phase(label)
-        yield
-        self.begin_phase(f"(after {label})")
+        try:
+            yield
+        finally:
+            self.begin_phase(f"(after {label})")
 
     def record(self, op, in_uids, out_uid, consumed, out_level):
         self.entries.append(
@@ -216,7 +273,17 @@ class SlotEngine:
         return sv
 
     def mask(self, values) -> PlainMask:
-        return PlainMask(self._pad(values))
+        """Dense plaintext mask, zero-padded on the right."""
+        return self._quantize_mask(PlainMask(self._pad(values)))
+
+    def mask_at(self, index, value: float) -> PlainMask:
+        """Structured plaintext mask: value on slots[index], +0.0 elsewhere."""
+        return self._quantize_mask(PlainMask.structured(self.config.slots, index, value))
+
+    def _quantize_mask(self, m: PlainMask) -> PlainMask:
+        if self._leveled:
+            m.quantized(self._scale)
+        return m
 
     def decrypt(self, v: SlotVector) -> np.ndarray:
         return v.slots.copy()
@@ -271,14 +338,28 @@ class SlotEngine:
         return sv
 
     def cmult(self, a: SlotVector, m: PlainMask) -> SlotVector:
-        """Product with a plaintext mask; consumes one level (rescale)."""
+        """Product with a plaintext mask; consumes one level (rescale).
+
+        A structured mask gives ``a * 0.0`` outside its index, which is what
+        the dense product gives at the mask's +0.0 slots (signed zeros and
+        NaN included), and the (rescaled) product at its index.
+        """
         self._check_pair(a, m)
         if self._leveled:
             self._require_level("cmult", a)
-            out = _kernels.cmult_rescale(a.slots, m.slots, self._scale)
-            sv = self._new(out, a.level - 1)
+        if m.index is None:
+            if self._leveled:
+                out = _kernels.mult_rescale(a.slots, m.quantized(self._scale), self._scale)
+            else:
+                out = a.slots * m.slots
         else:
-            sv = self._new(a.slots * m.slots, None)
+            out = a.slots * 0.0
+            picked = a.slots[m.index]
+            if self._leveled:
+                out[m.index] = _kernels.mult_rescale(picked, m.quantized(self._scale), self._scale)
+            else:
+                out[m.index] = picked * m.value
+        sv = self._new(out, a.level - 1 if self._leveled else None)
         self._record("cmult", (a,), sv, 1)
         return sv
 

@@ -13,8 +13,6 @@ dataflow, plus one more on the right operand when its rows must first be cut
 out of a full-matrix encoding.
 """
 
-from dataclasses import dataclass
-
 from .encoding import (
     EncodedMatrix,
     Layout,
@@ -26,32 +24,6 @@ from .encoding import (
 )
 from .engine import SlotEngine, SlotVector
 from .errors import DimensionMismatch, MatrixTooLarge, TileShapeMismatch
-
-
-@dataclass(frozen=True)
-class MatmulPlan:
-    """Static schedule for one product: which operand arrives transposed, how
-    many tiles per team, and the per-step placement rotations."""
-
-    transposed_operand: str  # "first" | "second"
-    tiles_a: int
-    tiles_b: int
-    rotation_schedule: tuple
-
-    @property
-    def rotations(self) -> int:
-        return len(self.rotation_schedule)
-
-
-def plan_vr_matmul(n: int, k: int, p: int) -> MatmulPlan:
-    """Placement schedule of the base loop for an (n x k) @ (k x p) product."""
-    schedule = []
-    for q in range(p):
-        for i in range(n):
-            src = i * k
-            dst = i * p + q
-            schedule.append((q, i, src - dst))
-    return MatmulPlan("second", 1, 1, tuple(schedule))
 
 
 def _check_result_fits(engine: SlotEngine, n: int, p: int):

@@ -13,12 +13,16 @@ from henn.encoding import (
     encode_matrix,
     incomplete_column_shift,
     keep_only,
+    one_hot_mask,
+    prefix_mask,
     roll_fill,
+    segment_mask,
+    strided_mask,
     sum_col_vec,
     sum_row_vec,
     windowed_sum,
 )
-from henn.engine import EngineConfig, OpTrace, SlotEngine
+from henn.engine import EngineConfig, OpTrace, PlainMask, SlotEngine
 from henn.errors import IndexOutOfRange, MatrixTooLarge, WrongLayout
 
 
@@ -287,3 +291,126 @@ def test_windowed_sum_oracle():
         got = eng.decrypt(windowed_sum(eng, sv, count, stride))
         want = sum(np.roll(v, -t * stride) for t in range(count))
         assert np.allclose(got, want, atol=1e-12)
+
+
+# --- structured masks against the dense ones they replace ----------------------
+
+def dense_one_hot(S, idx):
+    m = np.zeros(S)
+    m[idx] = 1.0
+    return m
+
+
+def dense_prefix(S, count, value=1.0):
+    m = np.zeros(S)
+    m[:count] = value
+    return m
+
+
+def dense_segment(S, start, length, value=1.0):
+    m = np.zeros(S)
+    m[start : start + length] = value
+    return m
+
+
+def dense_strided(S, start, stride, count, value=1.0):
+    m = np.zeros(S)
+    m[start : start + stride * count : stride] = value
+    return m
+
+
+MASK_S = 32
+BUILDERS = {
+    "one_hot": (one_hot_mask, dense_one_hot, (st.integers(-MASK_S - 3, MASK_S + 3),)),
+    "prefix": (prefix_mask, dense_prefix, (st.integers(-MASK_S - 3, MASK_S + 3),)),
+    "segment": (segment_mask, dense_segment,
+                (st.integers(-MASK_S - 3, MASK_S + 3), st.integers(-3, MASK_S + 3))),
+    "strided": (strided_mask, dense_strided,
+                (st.integers(-MASK_S - 3, MASK_S + 3), st.integers(-4, 6), st.integers(-2, 12))),
+}
+MASK_VALUES = st.sampled_from([1.0, -0.0, 0.01, -2.5, 2.0**-31]) | st.floats(-10, 10)
+ENGINES = {
+    "exact": SlotEngine(EngineConfig(slots=MASK_S, backend="exact")),
+    "leveled": SlotEngine(EngineConfig(slots=MASK_S, logQ=990, logp=30)),
+}
+
+
+@st.composite
+def builder_call(draw):
+    name = draw(st.sampled_from(sorted(BUILDERS)))
+    build, dense, arg_strategies = BUILDERS[name]
+    args = tuple(draw(a) for a in arg_strategies)
+    if name != "one_hot":
+        args += (draw(MASK_VALUES),)
+    return build, dense, args
+
+
+def build_both(eng, build, dense, args):
+    """(structured mask, old dense mask), or the exception type both raise."""
+    try:
+        want = dense(eng.config.slots, *args)
+    except (IndexError, ValueError) as e:
+        with pytest.raises(type(e)):
+            build(eng, *args)
+        return None
+    return build(eng, *args), want
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(builder_call())
+def test_builder_slots_match_dense_builders(call):
+    built = build_both(ENGINES["exact"], *call)
+    if built is not None:
+        m, want = built
+        assert m.index is not None and m._dense is None  # structured, no dense array
+        assert same_bits(m.slots, want)
+
+
+def test_one_hot_index_semantics():
+    eng = ENGINES["exact"]
+    assert same_bits(one_hot_mask(eng, -1).slots, dense_one_hot(MASK_S, -1))
+    assert same_bits(one_hot_mask(eng, -MASK_S).slots, dense_one_hot(MASK_S, 0))
+    for bad in (MASK_S, MASK_S + 5, -MASK_S - 1):
+        with pytest.raises(IndexError):
+            one_hot_mask(eng, bad)
+    with pytest.raises(ValueError):
+        strided_mask(eng, 0, 0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(builder_call(), st.sampled_from(sorted(ENGINES)), st.integers(0, 10_000))
+def test_structured_cmult_matches_dense_cmult(call, backend, seed):
+    """Bitwise, signed zeros included: negative inputs give -0.0 where the
+    dense mask holds +0.0."""
+    eng = ENGINES[backend]
+    built = build_both(eng, *call)
+    if built is None:
+        return
+    m, want = built
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-3, 3, MASK_S)
+    vals[rng.integers(0, MASK_S, 4)] = [-0.0, 0.0, -5e-324, 2.0**-31]
+    a = eng.encrypt(vals)
+    got = eng.cmult(a, m)
+    dense = eng.cmult(a, PlainMask(m.slots.copy()))
+    assert same_bits(got.slots, dense.slots)
+    assert got.level == dense.level
+    if backend == "leveled":
+        mq = np.rint(want * 2.0**30) / 2.0**30   # old per-call mask re-quantization
+        assert same_bits(got.slots, np.rint((a.slots * mq) * 2.0**30) / 2.0**30)
+    else:
+        assert same_bits(got.slots, a.slots * want)
+
+
+def test_dense_mask_quantized_once():
+    eng = ENGINES["leveled"]
+    m = eng.mask(np.linspace(-1, 1, MASK_S) / 3)
+    q = m.quantized(2.0**30)
+    eng.cmult(eng.encrypt(np.ones(MASK_S)), m)
+    assert m.quantized(2.0**30) is q
+    assert same_bits(q, np.rint(m.slots * 2.0**30) / 2.0**30)
+

@@ -220,3 +220,17 @@ def test_depth_report_phases_track_independent_chains():
     # the chain re-entering round 2 counts from zero again
     assert rep.phase("round 2").depth == 2
     assert rep.min_level == 29
+
+
+def test_phase_closes_when_body_raises():
+    trace = OpTrace()
+    eng = SlotEngine(EngineConfig(slots=8, logQ=60, logp=30), trace=trace)  # 2 levels
+    a = eng.encrypt([0.5])
+    with pytest.raises(DepthExhausted):
+        with trace.phase("deep"):
+            while True:
+                a = eng.mult(a, a)
+    eng.add(a, a)
+    rep = depth_report(trace)
+    assert [p.label for p in rep.phases] == ["", "deep", "(after deep)"]
+    assert rep.phase("(after deep)").op_counts == {"add": 1}

@@ -9,7 +9,6 @@ from henn.errors import DimensionMismatch, TileShapeMismatch
 from henn.linalg import (
     assemble_tiles,
     dvr_matmul,
-    plan_vr_matmul,
     vr_matmul,
     vr_matmul_first_transposed,
     vr_matmul_repeated,
@@ -157,10 +156,3 @@ def test_leveled_tolerance():
     b = rng.uniform(-1, 1, (7, 5))
     out = decode_matrix(eng, vr_matmul(eng, enc(eng, a), enc(eng, b.T.copy())))
     assert np.max(np.abs(out - a @ b)) <= 1e-5
-
-
-def test_plan_counts():
-    plan = plan_vr_matmul(3, 4, 5)
-    assert plan.transposed_operand == "second"
-    assert plan.rotations == 15
-    assert plan.tiles_a == plan.tiles_b == 1

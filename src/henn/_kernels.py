@@ -13,8 +13,9 @@ both are the correctly rounded value of the same real number x * 2**-logp,
 subnormal results included, and both keep signed zeros, infinities and NaN.
 The multiplication is several times cheaper than the division.
 
-``quantize`` and ``mult_rescale`` also accept numpy scalars and 0-d arrays
-(a structured mask's value, a one-hot slot) and then return a 0-d array.
+``quantize`` and ``mult_rescale`` also accept Python and numpy scalars and
+0-d arrays (a structured mask's value, a one-hot slot) and then return a 0-d
+array.
 """
 
 import numpy as np

@@ -97,19 +97,19 @@ def decode_matrix(engine: SlotEngine, em: EncodedMatrix) -> np.ndarray:
 # no dense array (see PlainMask).
 
 def one_hot_mask(engine: SlotEngine, idx: int) -> PlainMask:
-    return engine.mask_at(idx, 1.0)
+    return PlainMask.structured(engine.config.slots, idx, 1.0)
 
 
 def prefix_mask(engine: SlotEngine, count: int, value: float = 1.0) -> PlainMask:
-    return engine.mask_at(slice(count), value)
+    return PlainMask.structured(engine.config.slots, slice(count), value)
 
 
 def segment_mask(engine: SlotEngine, start: int, length: int, value: float = 1.0) -> PlainMask:
-    return engine.mask_at(slice(start, start + length), value)
+    return PlainMask.structured(engine.config.slots, slice(start, start + length), value)
 
 
 def strided_mask(engine: SlotEngine, start: int, stride: int, count: int, value: float = 1.0) -> PlainMask:
-    return engine.mask_at(slice(start, start + stride * count, stride), value)
+    return PlainMask.structured(engine.config.slots, slice(start, start + stride * count, stride), value)
 
 
 # --- generic rotate-and-add machinery ---------------------------------------

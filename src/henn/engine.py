@@ -13,9 +13,10 @@ The slot arithmetic runs through one numpy kernel path (``_kernels``); each
 op makes one pass over its operands.  A PlainMask is either dense (one value
 per slot) or structured: one value on the slots picked by one index
 expression (an int or a slice) and +0.0 elsewhere, with no dense array.  The
-mask builders in ``encoding`` make structured masks, quantized once when they
-are built; ``cmult`` with a structured mask touches only the picked slots
-beyond the ``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
+mask builders in ``encoding`` make structured masks.  On the leveled backend
+``cmult`` quantizes its mask operand on each call, which for a structured
+mask is one scalar; it then touches only the picked slots beyond the
+``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
 
 All operations are pure: inputs are never mutated and every result is a fresh
 vector.  An engine may carry an OpTrace; traces are not locked and must stay
@@ -101,12 +102,10 @@ class PlainMask:
     ``PlainMask(values)`` is dense.  ``PlainMask.structured(size, index,
     value)`` holds ``value`` on ``slots[index]`` and +0.0 elsewhere; index is
     an int (negative wraps, out of range raises) or a slice, with numpy's
-    semantics.  ``slots`` materialises either kind.  ``quantized(scale)`` is
-    the mask on the fixed-point grid, a scalar for a structured mask, and is
-    computed once per scale.
+    semantics.  ``slots`` materialises either kind.
     """
 
-    __slots__ = ("size", "index", "value", "_dense", "_scale", "_quantized")
+    __slots__ = ("size", "index", "value", "_dense")
 
     def __init__(self, slots: np.ndarray):
         slots.flags.writeable = False
@@ -114,8 +113,6 @@ class PlainMask:
         self.index = None
         self.value = None
         self._dense = slots
-        self._scale = None
-        self._quantized = None
 
     @classmethod
     def structured(cls, size: int, index, value: float) -> "PlainMask":
@@ -130,8 +127,6 @@ class PlainMask:
         m.index = index
         m.value = float(value)
         m._dense = None
-        m._scale = None
-        m._quantized = None
         return m
 
     @property
@@ -142,13 +137,6 @@ class PlainMask:
         out[self.index] = self.value
         out.flags.writeable = False
         return out
-
-    def quantized(self, scale: float):
-        if self._scale != scale:
-            src = self._dense if self.index is None else self.value
-            self._quantized = _kernels.quantize(src, scale)
-            self._scale = scale
-        return self._quantized
 
     def __len__(self):
         return self.size
@@ -274,16 +262,7 @@ class SlotEngine:
 
     def mask(self, values) -> PlainMask:
         """Dense plaintext mask, zero-padded on the right."""
-        return self._quantize_mask(PlainMask(self._pad(values)))
-
-    def mask_at(self, index, value: float) -> PlainMask:
-        """Structured plaintext mask: value on slots[index], +0.0 elsewhere."""
-        return self._quantize_mask(PlainMask.structured(self.config.slots, index, value))
-
-    def _quantize_mask(self, m: PlainMask) -> PlainMask:
-        if self._leveled:
-            m.quantized(self._scale)
-        return m
+        return PlainMask(self._pad(values))
 
     def decrypt(self, v: SlotVector) -> np.ndarray:
         return v.slots.copy()
@@ -342,23 +321,31 @@ class SlotEngine:
 
         A structured mask gives ``a * 0.0`` outside its index, which is what
         the dense product gives at the mask's +0.0 slots (signed zeros and
-        NaN included), and the (rescaled) product at its index.
+        NaN included), and the (rescaled) product at its index.  On the
+        leveled backend the mask is quantized first: the dense slots, or the
+        structured mask's one value.
         """
         self._check_pair(a, m)
         if self._leveled:
             self._require_level("cmult", a)
         if m.index is None:
             if self._leveled:
-                out = _kernels.mult_rescale(a.slots, m.quantized(self._scale), self._scale)
+                mq = _kernels.quantize(m.slots, self._scale)
+                out = _kernels.mult_rescale(a.slots, mq, self._scale)
             else:
                 out = a.slots * m.slots
         else:
-            out = a.slots * 0.0
+            # The picked product is formed before the full-width output is
+            # allocated: for the same work, the other order measured about
+            # 10 % slower on the paper-scale step.
             picked = a.slots[m.index]
             if self._leveled:
-                out[m.index] = _kernels.mult_rescale(picked, m.quantized(self._scale), self._scale)
+                mq = _kernels.quantize(m.value, self._scale)
+                picked = _kernels.mult_rescale(picked, mq, self._scale)
             else:
-                out[m.index] = picked * m.value
+                picked = picked * m.value
+            out = a.slots * 0.0
+            out[m.index] = picked
         sv = self._new(out, a.level - 1 if self._leveled else None)
         self._record("cmult", (a,), sv, 1)
         return sv

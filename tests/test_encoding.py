@@ -405,12 +405,3 @@ def test_structured_cmult_matches_dense_cmult(call, backend, seed):
     else:
         assert same_bits(got.slots, a.slots * want)
 
-
-def test_dense_mask_quantized_once():
-    eng = ENGINES["leveled"]
-    m = eng.mask(np.linspace(-1, 1, MASK_S) / 3)
-    q = m.quantized(2.0**30)
-    eng.cmult(eng.encrypt(np.ones(MASK_S)), m)
-    assert m.quantized(2.0**30) is q
-    assert same_bits(q, np.rint(m.slots * 2.0**30) / 2.0**30)
-

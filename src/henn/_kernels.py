@@ -14,8 +14,9 @@ subnormal results included, and both keep signed zeros, infinities and NaN.
 The multiplication is several times cheaper than the division.
 
 ``quantize`` and ``mult_rescale`` also accept Python and numpy scalars and
-0-d arrays (a structured mask's value, a one-hot slot) and then return a 0-d
-array.
+0-d arrays (a structured mask's value, a one-hot slot, a uniform vector's
+value) and then return a 0-d array; ``mult_rescale`` broadcasts a scalar
+against an array operand.
 """
 
 import numpy as np
@@ -50,8 +51,8 @@ def quantize(a, scale):
 
 
 def mult_rescale(a, b, scale):
-    """rint((a * b) * scale) / scale."""
-    out = np.multiply(a, b, out=np.empty_like(a, dtype=np.float64))
+    """rint((a * b) * scale) / scale; either operand may be the scalar."""
+    out = np.asarray(np.multiply(a, b))
     out *= scale
     np.rint(out, out=out)
     out *= 1.0 / scale

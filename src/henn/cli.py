@@ -21,8 +21,8 @@ from pathlib import Path
 from . import data as dio
 from .engine import EngineConfig
 from .errors import HennError
-from .losses import fit_sigmoid_poly
-from .train import compare_backends, run_sle_experiment, train
+from .losses import PolyApprox, fit_sigmoid_poly
+from .train import compare_backends, payload_digest, run_sle_experiment, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,9 +63,10 @@ def _load_config_file(path):
         return json.load(f)
 
 
-def _engine_config(opts, backend) -> EngineConfig:
+def _engine_config(opts) -> EngineConfig:
+    """Engine parameters of an encrypted-backend run."""
     return EngineConfig(logN=opts["logn"], logQ=opts["logq"], logp=opts["logp"],
-                        slots=opts["slots"], backend=backend if backend != "plain" else "leveled")
+                        slots=opts["slots"], backend=opts["backend"])
 
 
 def _load_dataset(opts):
@@ -119,7 +120,7 @@ def cmd_train(args) -> int:
                         "(and a subset that fits the slot count)")
     scheme = opts["scheme"] or _default_scheme(opts["dataset"])
     batch, test_batch = dio.preprocess_pair(ds, scheme)
-    engine_cfg = _engine_config(opts, opts["backend"]) if opts["backend"] != "plain" else None
+    engine_cfg = _engine_config(opts) if opts["backend"] != "plain" else None
     report = train(
         batch,
         loss=opts["loss"],
@@ -136,7 +137,7 @@ def cmd_train(args) -> int:
     doc = report.to_document()
     doc["payload"]["dataset"] = {"name": ds.name, "n": ds.n, "d": ds.d,
                                  "classes": ds.class_count, "scheme": scheme}
-    doc["payload_sha256"] = _rehash(doc["payload"])
+    doc["payload_sha256"] = payload_digest(doc["payload"])
     _write_json(outdir / "report.json", doc)
     dio.save_checkpoint(
         outdir / "checkpoint.json",
@@ -144,7 +145,9 @@ def cmd_train(args) -> int:
                 "lambda": opts["l2"], "backend": opts["backend"], "scheme": scheme,
                 "engine": report.engine},
         W=report.W, V=report.V, loss_kind=opts["loss"],
-        sigmoid_poly=None, seed=opts["seed"],
+        sigmoid_poly=(PolyApprox.from_dict(report.sigmoid_poly)
+                      if report.sigmoid_poly is not None else None),
+        seed=opts["seed"],
         iterations_completed=report.iterations_completed)
     _write_series(outdir / "series.csv", report, batch.task)
     print(f"wrote {outdir}/report.json ({report.iterations_completed} iterations)")
@@ -153,13 +156,6 @@ def cmd_train(args) -> int:
               f"{report.halted['iterations_completed']} iterations")
         return EXIT_DEPTH
     return EXIT_OK
-
-
-def _rehash(payload):
-    import hashlib
-
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _write_series(path, report, task):
@@ -237,7 +233,7 @@ def cmd_sle_experiment(args) -> int:
         repeats=opts["repeats"], epochs=opts["epochs"], hidden=opts["hidden"],
         seed=opts["seed"], workers=opts["workers"])
     result["dataset"] = {"name": ds.name, "n": ds.n, "d": ds.d}
-    doc = {"payload": result, "payload_sha256": _rehash(result)}
+    doc = {"payload": result, "payload_sha256": payload_digest(result)}
     _write_json(outdir / "sle_experiment.json", doc)
     for lr in lrs:
         path = outdir / f"curves_lr{lr:g}.csv"

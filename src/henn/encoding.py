@@ -258,6 +258,8 @@ def keep_only(engine: SlotEngine, em: EncodedMatrix, i: int, j: int) -> EncodedM
 def roll_fill(engine: SlotEngine, em) -> SlotVector:
     """Flood the single surviving entry of a keep_only result across all slots
     by log2(S) rotate-and-add doublings.  Costs rotations only, no level.
+    keep_only returns a flood vector, on which each doubling is O(1) and
+    the last one usually yields a uniform vector (see ``henn.engine``).
 
     Garbage in, garbage out: with more than one nonzero slot each output slot
     becomes the total sum instead of a replicated value.

@@ -18,12 +18,38 @@ mask builders in ``encoding`` make structured masks.  On the leveled backend
 mask is one scalar; it then touches only the picked slots beyond the
 ``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
 
-All operations are pure: inputs are never mutated and every result is a fresh
-vector.  An engine may carry an OpTrace; traces are not locked and must stay
-confined to one thread (ops on engines with distinct traces never interfere).
+Besides the dense form, a result can take one of two lazy forms, which hold
+what defines their slots instead of the slots themselves:
+
+* uniform (``UniformVector``): every slot holds one value.  Ops whose
+  operands are all uniform compute that one float64 with the same kernel or
+  float operation the dense form would apply to each slot, so the value is
+  the dense slot bit for bit; a uniform operand meets a dense one as a
+  scalar, which numpy broadcasts to the same slotwise arithmetic.
+* flood (``FloodVector``): ``cmult`` of a vector by a one-hot structured
+  mask (window 1), followed by ``rotate_add(v, k)`` calls with ``k`` equal to
+  the window, each of which doubles it.  This is the scalar-replication
+  pattern (``keep_only`` then ``roll_fill``).  When the window covers every
+  slot, the picked value v is finite and non-zero and every slot of the
+  source is finite, the flood becomes uniform: each output slot is the sum of
+  exactly one copy of v and of signed zeros (``x * 0.0`` of finite x), and
+  v + (+-0.0) == v, so every slot is exactly v.  Otherwise it stays a flood.
+
+Reading ``slots`` of a lazy vector replays the dense composition (``np.full``
+for a uniform one; ``src.slots * 0.0``, the picked slot and the recorded
+``rotate_add`` doublings for a flood), caches the read-only result on the
+vector and returns it.  The cache is the only state written after
+construction; filling it is idempotent, so two threads that race on it both
+see the same bits.  Every op is still one engine call with its own uid, level
+and trace records, whatever the form of its operands.
+
+All operations are pure: inputs are never mutated.  An engine may carry an
+OpTrace; traces are not locked and must stay confined to one thread (ops on
+engines with distinct traces never interfere).
 """
 
 import itertools
+import math
 import operator
 from collections import Counter
 from contextlib import contextmanager
@@ -77,9 +103,14 @@ class EngineConfig:
 
 
 class SlotVector:
-    """Immutable vector of slots plus level bookkeeping (leveled backend)."""
+    """Immutable vector of slots plus level bookkeeping (leveled backend).
 
-    __slots__ = ("slots", "level", "scale_bits", "uid")
+    This dense form holds its slots; the lazy subclasses below hold less and
+    build ``slots`` on first read.
+    """
+
+    # _finite: whether every slot is finite, cached on first need (unset until then)
+    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite")
 
     def __init__(self, slots: np.ndarray, level, scale_bits, uid: int):
         slots.flags.writeable = False
@@ -93,7 +124,94 @@ class SlotVector:
 
     def __repr__(self):
         head = np.array2string(self.slots[:4], precision=6)
-        return f"SlotVector(len={len(self)}, level={self.level}, slots={head}...)"
+        return f"{type(self).__name__}(len={len(self)}, level={self.level}, slots={head}...)"
+
+
+class _LazyVector(SlotVector):
+    """A SlotVector whose slots are built by ``_build`` on first read."""
+
+    # Subclasses set size, level, scale_bits, uid and _cache = None.
+    __slots__ = ("size", "_cache")
+
+    @property
+    def slots(self) -> np.ndarray:
+        out = self._cache
+        if out is None:
+            out = self._build()
+            out.flags.writeable = False
+            self._cache = out
+        return out
+
+    def __len__(self):
+        return self.size
+
+
+class UniformVector(_LazyVector):
+    """Every slot holds ``value``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, size, value: float, level, scale_bits, uid):
+        self.size = size
+        self.value = value
+        self.level = level
+        self.scale_bits = scale_bits
+        self.uid = uid
+        self._cache = None
+
+    def _build(self):
+        return np.full(self.size, self.value)
+
+
+class FloodVector(_LazyVector):
+    """``cmult(src, one-hot mask at index)``, whose picked slot came out as
+    ``value``, then the ``rotate_add`` doublings by 1, 2, ... up to
+    ``window``/2 (window 1: none)."""
+
+    __slots__ = ("src", "index", "value", "window")
+
+    def __init__(self, src: SlotVector, index: int, value: float, window: int, size: int,
+                 level, scale_bits, uid):
+        self.size = size
+        self.src = src
+        self.index = index
+        self.value = value
+        self.window = window
+        self.level = level
+        self.scale_bits = scale_bits
+        self.uid = uid
+        self._cache = None
+
+    def _build(self):
+        out = self.src.slots * 0.0
+        out[self.index] = self.value
+        step = 1
+        while step < self.window:
+            out = _kernels.rotate_add(out, step)
+            step *= 2
+        return out
+
+
+def _all_finite(v: SlotVector) -> bool:
+    """Whether every slot of v is finite; cached on a non-uniform v."""
+    if type(v) is UniformVector:
+        return math.isfinite(v.value)
+    finite = getattr(v, "_finite", None)
+    if finite is None:
+        finite = v._finite = bool(np.isfinite(v.slots).all())
+    return finite
+
+
+def _operand(v: SlotVector):
+    """A uniform vector's one value (numpy broadcasts it), else the slots."""
+    return v.value if type(v) is UniformVector else v.slots
+
+
+def _unread_flood(v: SlotVector):
+    """The slots of a flood not yet read, as a new writable array, else None."""
+    if type(v) is FloodVector and v._cache is None:
+        return v._build()
+    return None
 
 
 class PlainMask:
@@ -271,6 +389,19 @@ class SlotEngine:
         bits = self.config.logp if self._leveled else None
         return SlotVector(slots, level, bits, next(self._uid))
 
+    def _uniform(self, value: float, size: int, level) -> UniformVector:
+        bits = self.config.logp if self._leveled else None
+        return UniformVector(size, value, level, bits, next(self._uid))
+
+    def _flood(self, src: SlotVector, index: int, value: float, window: int, size: int,
+               level) -> SlotVector:
+        """A flood vector, or its one value as a uniform vector when that is
+        exact (see the module docstring)."""
+        if window == size and value != 0.0 and math.isfinite(value) and _all_finite(src):
+            return self._uniform(value, size, level)
+        bits = self.config.logp if self._leveled else None
+        return FloodVector(src, index, value, window, size, level, bits, next(self._uid))
+
     def _record(self, op, ins, out, consumed):
         if self.trace is not None:
             self.trace.record(op, tuple(i.uid for i in ins), out.uid, consumed, out.level)
@@ -286,33 +417,61 @@ class SlotEngine:
 
     # --- operations ---------------------------------------------------------
 
+    def _sum(self, ufunc, a: SlotVector, b: SlotVector, level) -> SlotVector:
+        """ufunc (np.add or np.subtract) of operands that are not both dense.
+
+        Two uniform operands give one float64, and one uniform operand enters
+        as a scalar.  The result is written into the fresh build of an unread
+        flood operand instead of a new full-width buffer; numpy computes an
+        in-place ufunc slot by slot, so the bits are those of a new output.
+        """
+        if type(a) is UniformVector and type(b) is UniformVector:
+            return self._uniform(float(ufunc(a.value, b.value)), len(a), level)
+        out = _unread_flood(b)
+        if out is not None:
+            return self._new(ufunc(_operand(a), out, out=out), level)
+        out = _unread_flood(a)
+        if out is not None:
+            return self._new(ufunc(out, _operand(b), out=out), level)
+        return self._new(ufunc(_operand(a), _operand(b)), level)
+
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise sum; leveled result drops to the lower operand level."""
         self._check_pair(a, b)
-        out = a.slots + b.slots
         level = min(a.level, b.level) if self._leveled else None
-        sv = self._new(out, level)
+        if type(a) is SlotVector and type(b) is SlotVector:
+            sv = self._new(a.slots + b.slots, level)
+        else:
+            sv = self._sum(np.add, a, b, level)
         self._record("add", (a, b), sv, 0)
         return sv
 
     def sub(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise difference (additive inverse is free, like add)."""
         self._check_pair(a, b)
-        out = a.slots - b.slots
         level = min(a.level, b.level) if self._leveled else None
-        sv = self._new(out, level)
+        if type(a) is SlotVector and type(b) is SlotVector:
+            sv = self._new(a.slots - b.slots, level)
+        else:
+            sv = self._sum(np.subtract, a, b, level)
         self._record("sub", (a, b), sv, 0)
         return sv
 
     def mult(self, a: SlotVector, b: SlotVector) -> SlotVector:
-        """Slotwise product; leveled backend rescales and consumes one level."""
+        """Slotwise product; leveled backend rescales and consumes one level.
+
+        A uniform operand enters as a scalar; two give one float64."""
         self._check_pair(a, b)
         if self._leveled:
             self._require_level("mult", a, b)
-            out = _kernels.mult_rescale(a.slots, b.slots, self._scale)
-            sv = self._new(out, min(a.level, b.level) - 1)
+            level = min(a.level, b.level) - 1
         else:
-            sv = self._new(a.slots * b.slots, None)
+            level = None
+        ua, ub = type(a) is UniformVector, type(b) is UniformVector
+        x = a.value if ua else a.slots
+        y = b.value if ub else b.slots
+        out = _kernels.mult_rescale(x, y, self._scale) if self._leveled else x * y
+        sv = self._uniform(float(out), len(a), level) if ua and ub else self._new(out, level)
         self._record("mult", (a, b), sv, 1)
         return sv
 
@@ -323,44 +482,64 @@ class SlotEngine:
         the dense product gives at the mask's +0.0 slots (signed zeros and
         NaN included), and the (rescaled) product at its index.  On the
         leveled backend the mask is quantized first: the dense slots, or the
-        structured mask's one value.
+        structured mask's one value.  A one-hot mask (int index) gives a
+        flood of window 1 (see the module docstring).
         """
         self._check_pair(a, m)
         if self._leveled:
             self._require_level("cmult", a)
+            level = a.level - 1
+        else:
+            level = None
+        uniform = type(a) is UniformVector
+        x = a.value if uniform else a.slots
         if m.index is None:
             if self._leveled:
                 mq = _kernels.quantize(m.slots, self._scale)
-                out = _kernels.mult_rescale(a.slots, mq, self._scale)
+                out = _kernels.mult_rescale(x, mq, self._scale)
             else:
-                out = a.slots * m.slots
+                out = x * m.slots
+            sv = self._new(out, level)
         else:
             # The picked product is formed before the full-width output is
             # allocated: for the same work, the other order measured about
             # 10 % slower on the paper-scale step.
-            picked = a.slots[m.index]
+            picked = x if uniform else x[m.index]
             if self._leveled:
                 mq = _kernels.quantize(m.value, self._scale)
                 picked = _kernels.mult_rescale(picked, mq, self._scale)
             else:
                 picked = picked * m.value
-            out = a.slots * 0.0
-            out[m.index] = picked
-        sv = self._new(out, a.level - 1 if self._leveled else None)
+            if type(m.index) is int:
+                sv = self._flood(a, m.index, float(picked), 1, len(a), level)
+            else:
+                out = np.full(len(a), x * 0.0) if uniform else x * 0.0
+                out[m.index] = picked
+                sv = self._new(out, level)
         self._record("cmult", (a,), sv, 1)
         return sv
 
     def rotate(self, a: SlotVector, k: int) -> SlotVector:
         """Left cyclic rotation by k slots (negative k rotates right). Free."""
         k %= len(a)
-        sv = self._new(_kernels.rotate(a.slots, k), a.level)
+        if type(a) is UniformVector:
+            sv = self._uniform(a.value, a.size, a.level)
+        else:
+            sv = self._new(_kernels.rotate(a.slots, k), a.level)
         self._record("rotate", (a,), sv, 0)
         return sv
 
     def rotate_add(self, a: SlotVector, k: int) -> SlotVector:
-        """Fused add(a, rotate(a, k)); same semantics, one kernel pass."""
+        """Fused add(a, rotate(a, k)); same semantics, one kernel pass.
+
+        On a flood whose window is k it doubles the window instead."""
         k %= len(a)
-        sv = self._new(_kernels.rotate_add(a.slots, k), a.level)
+        if type(a) is FloodVector and k == a.window:
+            sv = self._flood(a.src, a.index, a.value, 2 * k, a.size, a.level)
+        elif type(a) is UniformVector:
+            sv = self._uniform(a.value + a.value, a.size, a.level)
+        else:
+            sv = self._new(_kernels.rotate_add(a.slots, k), a.level)
         if self.trace is not None:
             rot_uid = next(self._uid)
             self.trace.record("rotate", (a.uid,), rot_uid, 0, a.level)

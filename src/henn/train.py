@@ -33,6 +33,12 @@ def default_sigmoid_poly() -> PolyApprox:
     return fit_sigmoid_poly(DEFAULT_POLY_DEGREE, -DEFAULT_POLY_RANGE, DEFAULT_POLY_RANGE)
 
 
+def payload_digest(payload: dict) -> str:
+    """sha256 of a report payload as compact JSON with sorted keys."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def default_hidden(task: str) -> int:
     return DEFAULT_HIDDEN_CLASSIFICATION if task == "classification" else DEFAULT_HIDDEN_REGRESSION
 
@@ -79,8 +85,7 @@ class TrainingReport:
         }
 
     def payload_hash(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return payload_digest(self.payload())
 
     def to_document(self) -> dict:
         return {"payload": self.payload(), "payload_sha256": self.payload_hash(),

@@ -163,3 +163,17 @@ def test_config_file_and_env_override(tmp_path, monkeypatch):
     assert len(report["payload"]["iterations"]) == 2
     assert report["payload"]["hidden"] == 3
     assert report["payload"]["seed"] == 2
+
+
+def test_encrypted_sle1_checkpoint_keeps_the_default_cubic(tmp_path):
+    """The checkpoint names the polynomial the run evaluated, so it can be rerun."""
+    from henn.train import default_sigmoid_poly
+
+    out = tmp_path / "run"
+    code = run(["train", "--dataset", "iris", "--loss", "sle1", "--hidden", "4", "--iters", "1",
+                "--backend", "exact", "--slots", "1024", "--seed", "2", "--out", str(out)])
+    assert code == 0
+    poly = dio.load_checkpoint(out / "checkpoint.json")["sigmoid_poly"]
+    assert poly.to_dict() == default_sigmoid_poly().to_dict()
+    report = json.loads((out / "report.json").read_text())
+    assert report["payload"]["sigmoid_poly"] == poly.to_dict()

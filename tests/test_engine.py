@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from henn.engine import EngineConfig, OpTrace, SlotEngine, depth_report
+from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
+                           segment_mask)
+from henn.engine import (EngineConfig, FloodVector, OpTrace, SlotEngine, UniformVector,
+                         depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 
@@ -234,3 +238,225 @@ def test_phase_closes_when_body_raises():
     rep = depth_report(trace)
     assert [p.label for p in rep.phases] == ["", "deep", "(after deep)"]
     assert rep.phase("(after deep)").op_counts == {"add": 1}
+
+
+# --- lazy uniform and flood vectors against the dense composition ---------------
+
+SCALE = 2.0**30
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-31, 0.5, -0.5,
+           1e300, -1e300, float("inf"), float("-inf"), float("nan")]
+ELEMENTS = {
+    "finite": st.floats(-4.0, 4.0) | st.sampled_from([-0.0, 5e-324, -1e300, 1e300]),
+    "negative": st.floats(-4.0, -1e-3),        # every x * 0.0 is -0.0
+    "any": st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True),
+}
+SIZES = st.sampled_from([1, 2, 4, 8, 16, 32, 64])
+
+
+def lazy_engine(backend, size, trace=None):
+    return SlotEngine(EngineConfig(slots=size, logQ=990, logp=30, backend=backend), trace=trace)
+
+
+def bits(x):
+    """Shape and bytes, with every NaN made the one canonical NaN.  numpy picks
+    the sign of NaN + NaN (NaNs of both signs, e.g. from a NaN slot and from
+    inf * 0.0) by the SIMD loop it runs, so two dense compositions of the same
+    sum can already differ there; every other bit is compared."""
+    x = np.array(x, dtype=np.float64)
+    x[np.isnan(x)] = np.nan
+    return x.shape, x.tobytes()
+
+
+def ref_mul(eng, x, y):
+    """Dense slotwise product: rint((x*y) * 2^p) / 2^p on the leveled backend."""
+    if eng.config.backend == "leveled":
+        return np.rint((x * y) * SCALE) / SCALE
+    return x * y
+
+
+def ref_keep(eng, x, idx):
+    """Dense cmult by a one-hot mask (its 1.0 quantizes to 1.0)."""
+    out = x * 0.0
+    out[idx] = ref_mul(eng, x[idx], 1.0)
+    return out
+
+
+def ref_rotate_add(x, k):
+    return x + np.roll(x, -k)
+
+
+@st.composite
+def source(draw):
+    """(engine, encrypted source vector, a slot index)."""
+    backend = draw(st.sampled_from(["exact", "leveled"]))
+    size = draw(SIZES)
+    kind = draw(st.sampled_from(sorted(ELEMENTS)))
+    vals = draw(arrays(np.float64, size, elements=ELEMENTS[kind]))
+    idx = draw(st.integers(-size, size - 1))
+    if kind != "negative" and draw(st.booleans()):
+        vals[idx] = draw(st.sampled_from(SPECIAL))      # the flooded value itself
+    eng = lazy_engine(backend, size)
+    return eng, eng.encrypt(vals), idx
+
+
+# inf * 0 and overflow are among the cases; both sides warn alike
+fp_warnings_ignored = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(source(), st.data())
+def test_flood_chain_matches_dense_composition(src, data):
+    """keep_only then the roll_fill doublings, read at any point of the chain."""
+    eng, a, idx = src
+    size = len(a)
+    read_at = data.draw(st.integers(0, size.bit_length()))
+    v = eng.cmult(a, one_hot_mask(eng, idx))
+    want = ref_keep(eng, a.slots, idx)
+    step = 1
+    while True:
+        if step == 1 << read_at or step >= size:
+            assert bits(v.slots) == bits(want)
+        if step >= size:
+            break
+        v = eng.rotate_add(v, step)
+        want = ref_rotate_add(want, step)
+        step *= 2
+    assert bits(v.slots) == bits(want)
+    picked = want[idx % size]
+    exact = picked != 0.0 and np.isfinite(picked) and np.isfinite(a.slots).all()
+    assert (type(v) is UniformVector) == bool(exact)
+
+
+@fp_warnings_ignored
+@settings(max_examples=200, deadline=None)
+@given(source(), st.data())
+def test_flood_rotate_add_off_window_matches_dense(src, data):
+    eng, a, idx = src
+    size = len(a)
+    doublings = data.draw(st.integers(0, size.bit_length() - 1))
+    k = data.draw(st.integers(-2 * size, 2 * size))
+    v = eng.cmult(a, one_hot_mask(eng, idx))
+    want = ref_keep(eng, a.slots, idx)
+    for t in range(doublings):
+        v = eng.rotate_add(v, 1 << t)
+        want = ref_rotate_add(want, 1 << t)
+    got = eng.rotate_add(v, k)
+    assert bits(got.slots) == bits(ref_rotate_add(want, k % size))
+    assert bits(eng.rotate(v, k).slots) == bits(np.roll(want, -(k % size)))
+
+
+@fp_warnings_ignored
+@settings(max_examples=200, deadline=None)
+@given(source(), st.data())
+def test_flood_operands_of_add_and_sub_match_dense(src, data):
+    """add and sub write into the fresh build of an unread flood operand;
+    the result, and the flood read afterwards, are the dense ones."""
+    eng, a, idx = src
+    size = len(a)
+    doublings = data.draw(st.integers(0, size.bit_length() - 1))
+    d = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS["any"])))
+    x = d.slots
+
+    def flood():
+        v = eng.cmult(a, one_hot_mask(eng, idx))
+        for t in range(doublings):
+            v = eng.rotate_add(v, 1 << t)
+        return v
+
+    want = ref_keep(eng, a.slots, idx)
+    for t in range(doublings):
+        want = ref_rotate_add(want, 1 << t)
+    cases = [
+        (lambda f: eng.add(d, f), lambda w: x + w), (lambda f: eng.add(f, d), lambda w: w + x),
+        (lambda f: eng.sub(d, f), lambda w: x - w), (lambda f: eng.sub(f, d), lambda w: w - x),
+        (lambda f: eng.add(f, flood()), lambda w: w + w), (lambda f: eng.sub(f, f), lambda w: w - w),
+    ]
+    for op, ref in cases:
+        f = flood()
+        assert bits(op(f).slots) == bits(ref(want))
+        assert bits(f.slots) == bits(want)
+
+
+@st.composite
+def uniform_and_dense(draw):
+    """(engine, uniform vector, its dense slots, a dense vector)."""
+    backend = draw(st.sampled_from(["exact", "leveled"]))
+    size = draw(SIZES)
+    eng = lazy_engine(backend, size)
+    value = draw(st.floats(-4.0, 4.0) | st.sampled_from([1e300, -1e300, 2.0**-31, 3.0]))
+    # a uniform value arises only from a finite non-zero flood
+    src = eng.encrypt(np.full(size, value))
+    u = roll_fill(eng, keep_only(eng, EncodedMatrix(1, size, Layout.FULL_MATRIX, (src,)), 0, 0))
+    want = ref_keep(eng, src.slots, 0)
+    for t in range(size.bit_length() - 1):
+        want = ref_rotate_add(want, 1 << t)
+    kind = draw(st.sampled_from(sorted(ELEMENTS)))
+    d = eng.encrypt(draw(arrays(np.float64, size, elements=ELEMENTS[kind])))
+    return eng, u, want, d
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(uniform_and_dense(), st.integers(-100, 100), st.data())
+def test_uniform_ops_match_dense(case, k, data):
+    eng, u, want, d = case
+    size = len(u)
+    assert bits(u.slots) == bits(want)
+    x = d.slots
+    results = {
+        "u+d": (eng.add(u, d), want + x), "d+u": (eng.add(d, u), x + want),
+        "u-d": (eng.sub(u, d), want - x), "d-u": (eng.sub(d, u), x - want),
+        "u*d": (eng.mult(u, d), ref_mul(eng, want, x)),
+        "d*u": (eng.mult(d, u), ref_mul(eng, x, want)),
+        "u*u": (eng.mult(u, u), ref_mul(eng, want, want)),
+        "u+u": (eng.add(u, u), want + want), "u-u": (eng.sub(u, u), want - want),
+        "rot": (eng.rotate(u, k), np.roll(want, -(k % size))),
+        "rot+": (eng.rotate_add(u, k), ref_rotate_add(want, k % size)),
+    }
+    idx = data.draw(st.integers(0, size - 1))
+    start = data.draw(st.integers(0, size))
+    value = data.draw(st.sampled_from([1.0, -0.0, 2.5, 2.0**-31]))
+    dense_mask = data.draw(arrays(np.float64, size, elements=st.floats(-3.0, 3.0)))
+    mq = (np.rint(dense_mask * SCALE) / SCALE if eng.config.backend == "leveled"
+          else dense_mask)
+    vq = np.rint(value * SCALE) / SCALE if eng.config.backend == "leveled" else value
+    seg = want * 0.0
+    seg[start:] = ref_mul(eng, want[start:], vq)
+    results["cmult one-hot"] = (eng.cmult(u, one_hot_mask(eng, idx)), ref_keep(eng, want, idx))
+    results["cmult segment"] = (eng.cmult(u, segment_mask(eng, start, size, value)), seg)
+    results["cmult dense"] = (eng.cmult(u, eng.mask(dense_mask)), ref_mul(eng, want, mq))
+    for name, (got, ref) in results.items():
+        assert bits(got.slots) == bits(ref), name
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
+    eng = lazy_engine(backend, 4096)
+    em = EncodedMatrix(64, 64, Layout.FULL_MATRIX,
+                       (eng.encrypt(np.linspace(-1.0, 1.0, 4096)),))
+    kept = keep_only(eng, em, 3, 5)
+    assert type(kept.parts[0]) is FloodVector
+    v = roll_fill(eng, kept)
+    assert type(v) is UniformVector
+    assert v._cache is None and kept.parts[0]._cache is None     # no slots were built
+    assert v.value == em.parts[0].slots[3 * 64 + 5]
+    assert len(v) == 4096 and v.level == (32 if backend == "leveled" else None)
+
+
+def test_lazy_forms_keep_the_trace():
+    """A flood that turns uniform and one that replays (NaN in its source)
+    record the same ops, uids and levels."""
+    entries = []
+    for poison in (False, True):
+        trace = OpTrace()
+        eng = lazy_engine("leveled", 16, trace)
+        vals = np.linspace(0.5, 2.0, 16)
+        if poison:
+            vals[9] = np.nan
+        a = eng.encrypt(vals)
+        u = roll_fill(eng, eng.cmult(a, one_hot_mask(eng, 2)))
+        eng.mult(eng.add(u, a), u)
+        assert (type(u) is UniformVector) != poison
+        entries.append(trace.entries)
+    assert entries[0] == entries[1]

@@ -21,17 +21,16 @@ from pathlib import Path
 from . import data as dio
 from .engine import EngineConfig
 from .errors import HennError
-from .losses import PolyApprox, fit_sigmoid_poly
-from .train import compare_backends, payload_digest, run_sle_experiment, train
+from .enc_train import fit_slots
+from .losses import LOSS_KINDS, PolyApprox, fit_sigmoid_poly
+from .train import TRAIN_BACKENDS, compare_backends, payload_digest, run_sle_experiment, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEPTH = 3
 EXIT_DIVERGED = 4
 
-LOSS_CHOICES = ("sle", "sle1", "sle1s", "sle2", "mse")
 DATASET_CHOICES = ("iris", "mnist", "boston")
-BACKEND_CHOICES = ("plain", "exact", "leveled")
 
 
 def _resolve(args, config_file: dict, defaults: dict):
@@ -183,7 +182,8 @@ def cmd_compare(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     ds = _load_dataset(opts)
     batch, _ = dio.preprocess_pair(ds, opts["scheme"] or _default_scheme(opts["dataset"]))
-    slots = opts["slots"] or _fit_slots(batch.n, batch.d, opts["hidden"], batch.Y.shape[1])
+    slots = opts["slots"] or fit_slots(batch.n, 1 + batch.d, opts["hidden"], batch.Y.shape[1],
+                                        floor=64)
     cfg = EngineConfig(logN=opts["logn"], logQ=opts["logq"], logp=opts["logp"],
                        slots=slots, backend="exact")
     result = compare_backends(
@@ -203,14 +203,6 @@ def cmd_compare(args) -> int:
     print(f"max weight divergence {result['max_weight_divergence']:.3e} "
           f"({'PASS' if passed else 'FAIL'} at {opts['tolerance']:.1e})")
     return EXIT_OK if passed else EXIT_DIVERGED
-
-
-def _fit_slots(n, d, m, c, floor=64):
-    need = max(n * (1 + d), n * (1 + m), n * c, floor)
-    slots = 1
-    while slots < need:
-        slots *= 2
-    return slots
 
 
 EXPERIMENT_DEFAULTS = {
@@ -287,11 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one training job")
     common(p, TRAIN_DEFAULTS)
-    p.add_argument("--loss", choices=LOSS_CHOICES)
+    p.add_argument("--loss", choices=LOSS_KINDS)
     p.add_argument("--hidden", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--iters", type=int)
-    p.add_argument("--backend", choices=BACKEND_CHOICES)
+    p.add_argument("--backend", choices=TRAIN_BACKENDS)
     p.add_argument("--l2", type=float)
     p.add_argument("--logn", type=int)
     p.add_argument("--logq", type=int)
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="plain vs exact backend equivalence")
     common(p, COMPARE_DEFAULTS)
-    p.add_argument("--loss", choices=LOSS_CHOICES)
+    p.add_argument("--loss", choices=LOSS_KINDS)
     p.add_argument("--hidden", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--iters", type=int)

@@ -59,6 +59,14 @@ from .losses import LossSpec
 from .nn import ModelParams
 
 
+def fit_slots(n: int, u: int, m: int, c: int, floor: int = 1) -> int:
+    """The smallest power of two, at least ``floor``, that holds the widest
+    block of a batch: n rows of u inputs (bias included), of 1 + m hidden
+    values (bias included) or of c outputs."""
+    need = max(n * u, n * (1 + m), n * c, floor)
+    return 1 << (need - 1).bit_length()
+
+
 @dataclass
 class IterationContext:
     """Everything the per-row gradient assemblies consume."""
@@ -121,7 +129,7 @@ class EncryptedTrainer:
         self.c = params.V.shape[0]
         self.wz = 1 + self.m
         S = engine.config.slots
-        need = max(self.n * self.u, self.n * self.m, self.n * self.wz, self.n * self.c)
+        need = fit_slots(self.n, self.u, self.m, self.c)
         if need > S:
             raise MatrixTooLarge(f"batch needs {need} slots per vector, engine has {S}")
 

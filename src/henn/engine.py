@@ -21,11 +21,6 @@ mask is one scalar; it then touches only the picked slots beyond the
 Besides the dense form, a result can take one of two lazy forms, which hold
 what defines their slots instead of the slots themselves:
 
-* uniform (``UniformVector``): every slot holds one value.  Ops whose
-  operands are all uniform compute that one float64 with the same kernel or
-  float operation the dense form would apply to each slot, so the value is
-  the dense slot bit for bit; a uniform operand meets a dense one as a
-  scalar, which numpy broadcasts to the same slotwise arithmetic.
 * flood (``FloodVector``): ``cmult`` of a vector by a one-hot structured
   mask (window 1), followed by ``rotate_add(v, k)`` calls with ``k`` equal to
   the window, each of which doubles it.  This is the scalar-replication
@@ -34,14 +29,25 @@ what defines their slots instead of the slots themselves:
   source is finite, the flood becomes uniform: each output slot is the sum of
   exactly one copy of v and of signed zeros (``x * 0.0`` of finite x), and
   v + (+-0.0) == v, so every slot is exactly v.  Otherwise it stays a flood.
+* uniform (``UniformVector``): every slot holds one value.
+
+Only the operand forms that training and ``dvr_matmul`` produce have lazy
+paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of two uniform
+vectors, which compute that one float64 with the same kernel or float
+operation the dense form would apply to each slot; ``mult`` of a uniform left
+operand by a dense one, where the value enters as a scalar that numpy
+broadcasts to the same slotwise arithmetic; and ``add``/``sub`` with an unread
+flood as the right operand, which writes into the flood's fresh build.  Every
+other combination reads ``slots`` and takes the dense path.
 
 Reading ``slots`` of a lazy vector replays the dense composition (``np.full``
 for a uniform one; ``src.slots * 0.0``, the picked slot and the recorded
 ``rotate_add`` doublings for a flood), caches the read-only result on the
-vector and returns it.  The cache is the only state written after
-construction; filling it is idempotent, so two threads that race on it both
-see the same bits.  Every op is still one engine call with its own uid, level
-and trace records, whatever the form of its operands.
+vector and returns it, so both paths give the same bits.  The cache is the
+only state written after construction; filling it is idempotent, so two
+threads that race on it both see the same bits.  Every op is still one engine
+call with its own uid, level and trace records, whatever the form of its
+operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -95,11 +101,6 @@ class EngineConfig:
             "slots": self.slots,
             "backend": self.backend,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EngineConfig":
-        known = {k: d[k] for k in ("logN", "logQ", "logp", "slots", "backend") if k in d}
-        return cls(**known)
 
 
 class SlotVector:
@@ -193,25 +194,11 @@ class FloodVector(_LazyVector):
 
 
 def _all_finite(v: SlotVector) -> bool:
-    """Whether every slot of v is finite; cached on a non-uniform v."""
-    if type(v) is UniformVector:
-        return math.isfinite(v.value)
+    """Whether every slot of v is finite; cached on v."""
     finite = getattr(v, "_finite", None)
     if finite is None:
         finite = v._finite = bool(np.isfinite(v.slots).all())
     return finite
-
-
-def _operand(v: SlotVector):
-    """A uniform vector's one value (numpy broadcasts it), else the slots."""
-    return v.value if type(v) is UniformVector else v.slots
-
-
-def _unread_flood(v: SlotVector):
-    """The slots of a flood not yet read, as a new writable array, else None."""
-    if type(v) is FloodVector and v._cache is None:
-        return v._build()
-    return None
 
 
 class PlainMask:
@@ -417,61 +404,51 @@ class SlotEngine:
 
     # --- operations ---------------------------------------------------------
 
-    def _sum(self, ufunc, a: SlotVector, b: SlotVector, level) -> SlotVector:
-        """ufunc (np.add or np.subtract) of operands that are not both dense.
+    def _sum(self, op, ufunc, a: SlotVector, b: SlotVector) -> SlotVector:
+        """The body of add and sub: ufunc (np.add or np.subtract) slotwise.
 
-        Two uniform operands give one float64, and one uniform operand enters
-        as a scalar.  The result is written into the fresh build of an unread
-        flood operand instead of a new full-width buffer; numpy computes an
-        in-place ufunc slot by slot, so the bits are those of a new output.
+        Two uniform operands give one float64.  An unread flood as the right
+        operand is built fresh and the result written into it, instead of
+        into a new full-width buffer; numpy computes an in-place ufunc slot by
+        slot, so the bits are those of a new output.
         """
+        self._check_pair(a, b)
+        level = min(a.level, b.level) if self._leveled else None
         if type(a) is UniformVector and type(b) is UniformVector:
-            return self._uniform(float(ufunc(a.value, b.value)), len(a), level)
-        out = _unread_flood(b)
-        if out is not None:
-            return self._new(ufunc(_operand(a), out, out=out), level)
-        out = _unread_flood(a)
-        if out is not None:
-            return self._new(ufunc(out, _operand(b), out=out), level)
-        return self._new(ufunc(_operand(a), _operand(b)), level)
+            sv = self._uniform(float(ufunc(a.value, b.value)), a.size, level)
+        elif type(b) is FloodVector and b._cache is None:
+            out = b._build()
+            sv = self._new(ufunc(a.slots, out, out=out), level)
+        else:
+            sv = self._new(ufunc(a.slots, b.slots), level)
+        self._record(op, (a, b), sv, 0)
+        return sv
 
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise sum; leveled result drops to the lower operand level."""
-        self._check_pair(a, b)
-        level = min(a.level, b.level) if self._leveled else None
-        if type(a) is SlotVector and type(b) is SlotVector:
-            sv = self._new(a.slots + b.slots, level)
-        else:
-            sv = self._sum(np.add, a, b, level)
-        self._record("add", (a, b), sv, 0)
-        return sv
+        return self._sum("add", np.add, a, b)
 
     def sub(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise difference (additive inverse is free, like add)."""
-        self._check_pair(a, b)
-        level = min(a.level, b.level) if self._leveled else None
-        if type(a) is SlotVector and type(b) is SlotVector:
-            sv = self._new(a.slots - b.slots, level)
-        else:
-            sv = self._sum(np.subtract, a, b, level)
-        self._record("sub", (a, b), sv, 0)
-        return sv
+        return self._sum("sub", np.subtract, a, b)
 
     def mult(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise product; leveled backend rescales and consumes one level.
 
-        A uniform operand enters as a scalar; two give one float64."""
+        A uniform left operand enters as a scalar; two uniform operands give
+        one float64."""
         self._check_pair(a, b)
         if self._leveled:
             self._require_level("mult", a, b)
             level = min(a.level, b.level) - 1
         else:
             level = None
-        ua, ub = type(a) is UniformVector, type(b) is UniformVector
+        ua = type(a) is UniformVector
+        both = ua and type(b) is UniformVector
         x = a.value if ua else a.slots
-        y = b.value if ub else b.slots
+        y = b.value if both else b.slots
         out = _kernels.mult_rescale(x, y, self._scale) if self._leveled else x * y
-        sv = self._uniform(float(out), len(a), level) if ua and ub else self._new(out, level)
+        sv = self._uniform(float(out), len(a), level) if both else self._new(out, level)
         self._record("mult", (a, b), sv, 1)
         return sv
 
@@ -491,8 +468,7 @@ class SlotEngine:
             level = a.level - 1
         else:
             level = None
-        uniform = type(a) is UniformVector
-        x = a.value if uniform else a.slots
+        x = a.slots
         if m.index is None:
             if self._leveled:
                 mq = _kernels.quantize(m.slots, self._scale)
@@ -504,7 +480,7 @@ class SlotEngine:
             # The picked product is formed before the full-width output is
             # allocated: for the same work, the other order measured about
             # 10 % slower on the paper-scale step.
-            picked = x if uniform else x[m.index]
+            picked = x[m.index]
             if self._leveled:
                 mq = _kernels.quantize(m.value, self._scale)
                 picked = _kernels.mult_rescale(picked, mq, self._scale)
@@ -513,7 +489,7 @@ class SlotEngine:
             if type(m.index) is int:
                 sv = self._flood(a, m.index, float(picked), 1, len(a), level)
             else:
-                out = np.full(len(a), x * 0.0) if uniform else x * 0.0
+                out = x * 0.0
                 out[m.index] = picked
                 sv = self._new(out, level)
         self._record("cmult", (a,), sv, 1)
@@ -521,11 +497,7 @@ class SlotEngine:
 
     def rotate(self, a: SlotVector, k: int) -> SlotVector:
         """Left cyclic rotation by k slots (negative k rotates right). Free."""
-        k %= len(a)
-        if type(a) is UniformVector:
-            sv = self._uniform(a.value, a.size, a.level)
-        else:
-            sv = self._new(_kernels.rotate(a.slots, k), a.level)
+        sv = self._new(_kernels.rotate(a.slots, k % len(a)), a.level)
         self._record("rotate", (a,), sv, 0)
         return sv
 
@@ -536,8 +508,6 @@ class SlotEngine:
         k %= len(a)
         if type(a) is FloodVector and k == a.window:
             sv = self._flood(a.src, a.index, a.value, 2 * k, a.size, a.level)
-        elif type(a) is UniformVector:
-            sv = self._uniform(a.value + a.value, a.size, a.level)
         else:
             sv = self._new(_kernels.rotate_add(a.slots, k), a.level)
         if self.trace is not None:

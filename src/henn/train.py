@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enc_train import EncryptedTrainer
-from .engine import EngineConfig, OpTrace, SlotEngine, depth_report
+from .engine import BACKENDS, EngineConfig, OpTrace, SlotEngine, depth_report
 from .errors import DepthExhausted
 from .losses import LossSpec, PolyApprox, fit_sigmoid_poly, loss_value
 from .nn import ModelParams, accuracy, backward, evaluate, forward, init_params, sgd_step
 
+TRAIN_BACKENDS = ("plain", *BACKENDS)
 DEFAULT_HIDDEN_CLASSIFICATION = 120
 DEFAULT_HIDDEN_REGRESSION = 12
 DEFAULT_POLY_DEGREE = 3
@@ -122,10 +123,11 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
 
     Weights start from normal(0, 0.05) under the given seed, identically on
     every backend.  On the leveled backend a depth-exhausted run halts with a
-    structured report instead of raising.
+    structured report instead of raising.  An encrypted backend refuses an
+    ``engine_config`` made for another backend; the plain backend ignores it.
     """
-    if backend not in ("plain", "exact", "leveled"):
-        raise ValueError(f"unknown backend {backend!r}")
+    if backend not in TRAIN_BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}, expected one of {TRAIN_BACKENDS}")
     m = default_hidden(batch.task) if hidden is None else hidden
     c = batch.Y.shape[1]
     poly = resolve_sigmoid_poly(loss, backend, sigmoid_poly)
@@ -156,7 +158,7 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
     else:
         cfg = engine_config if engine_config is not None else EngineConfig(backend=backend)
         if cfg.backend != backend:
-            cfg = EngineConfig(cfg.logN, cfg.logQ, cfg.logp, cfg.slots, backend)
+            raise ValueError(f"engine_config is for backend {cfg.backend!r}, not {backend!r}")
         trace_obj = OpTrace() if instrument else None
         engine = SlotEngine(cfg, trace=trace_obj)
         trainer = EncryptedTrainer(engine, batch, params, spec)

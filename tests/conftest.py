@@ -24,6 +24,16 @@ def leveled64():
     return SlotEngine(EngineConfig(slots=64, logQ=990, logp=30, backend="leveled"))
 
 
+def bits(x):
+    """Shape and bytes, with every NaN made the one canonical NaN.  numpy picks
+    the sign of NaN + NaN (NaNs of both signs, e.g. from a NaN slot and from
+    inf * 0.0) by the SIMD loop it runs, so two dense compositions of the same
+    sum can already differ there; every other bit is compared."""
+    x = np.array(x, dtype=np.float64)
+    x[np.isnan(x)] = np.nan
+    return x.shape, x.tobytes()
+
+
 def make_classification_batch(rng, n, d, c):
     from henn.data import Batch, one_hot
 

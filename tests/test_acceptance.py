@@ -28,7 +28,7 @@ from henn.encoding import (
     sum_row_vec,
 )
 from henn.engine import EngineConfig, SlotEngine
-from henn.enc_train import EncryptedTrainer
+from henn.enc_train import EncryptedTrainer, fit_slots
 from henn.linalg import assemble_tiles, dvr_matmul, vr_matmul, vr_matmul_first_transposed
 from henn.losses import LossSpec, loss_value, s_matrix, s_matrix_sle1
 from henn.nn import ModelParams, backward, forward, init_params
@@ -78,14 +78,12 @@ def test_criterion_oracle_equivalence_50_random_configs():
             batch = make_regression_batch(rng, n, d)
         else:
             batch = make_classification_batch(rng, n, d, c)
-        slots = 1
-        while slots < max(n * (1 + d), n * (1 + m), n * batch.Y.shape[1]):
-            slots *= 2
+        slots = fit_slots(n, 1 + d, m, batch.Y.shape[1], floor=64)
         kw = dict(loss=kind, hidden=m, eta=0.05, iterations=3, seed=trial,
                   sigmoid_poly=poly if kind != "mse" else "auto")
         plain = train(batch, backend="plain", **kw)
         enc = train(batch, backend="exact",
-                    engine_config=EngineConfig(slots=max(slots, 64), backend="exact"), **kw)
+                    engine_config=EngineConfig(slots=slots, backend="exact"), **kw)
         div = max(np.max(np.abs(plain.W - enc.W)), np.max(np.abs(plain.V - enc.V)))
         worst = max(worst, div)
         assert div <= 1e-9, f"config {trial} ({kind}, n={n} d={d} m={m} c={c}): {div:.2e}"

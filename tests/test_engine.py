@@ -12,6 +12,8 @@ from henn.engine import (EngineConfig, FloodVector, OpTrace, SlotEngine, Uniform
                          depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
+from conftest import bits
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -257,16 +259,6 @@ def lazy_engine(backend, size, trace=None):
     return SlotEngine(EngineConfig(slots=size, logQ=990, logp=30, backend=backend), trace=trace)
 
 
-def bits(x):
-    """Shape and bytes, with every NaN made the one canonical NaN.  numpy picks
-    the sign of NaN + NaN (NaNs of both signs, e.g. from a NaN slot and from
-    inf * 0.0) by the SIMD loop it runs, so two dense compositions of the same
-    sum can already differ there; every other bit is compared."""
-    x = np.array(x, dtype=np.float64)
-    x[np.isnan(x)] = np.nan
-    return x.shape, x.tobytes()
-
-
 def ref_mul(eng, x, y):
     """Dense slotwise product: rint((x*y) * 2^p) / 2^p on the leveled backend."""
     if eng.config.backend == "leveled":
@@ -442,6 +434,25 @@ def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
     assert v._cache is None and kept.parts[0]._cache is None     # no slots were built
     assert v.value == em.parts[0].slots[3 * 64 + 5]
     assert len(v) == 4096 and v.level == (32 if backend == "leveled" else None)
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_lazy_fast_paths_build_no_slots(backend):
+    """The lazy paths that training and dvr_matmul take build no slots: two
+    uniform operands of add, sub and mult give a uniform vector, mult reads a
+    uniform left operand as one value, and add writes into an unread flood."""
+    eng = lazy_engine(backend, 4096)
+    a = eng.encrypt(np.linspace(-1.0, 1.0, 4096))
+    d = eng.encrypt(np.linspace(2.0, 3.0, 4096))
+    u, w = (roll_fill(eng, eng.cmult(a, one_hot_mask(eng, i))) for i in (3, 7))
+    for op in (eng.add, eng.sub, eng.mult):
+        r = op(u, w)
+        assert type(r) is UniformVector and r._cache is None
+    eng.mult(u, d)
+    assert u._cache is None and w._cache is None
+    f = eng.cmult(a, one_hot_mask(eng, 5))
+    eng.add(d, f)
+    assert type(f) is FloodVector and f._cache is None
 
 
 def test_lazy_forms_keep_the_trace():

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from henn import _kernels
+
+from conftest import bits
 
 SCALE = float(2**30)
 
@@ -77,11 +79,15 @@ def same_bits(x, y):
 
 @settings(max_examples=300, deadline=None)
 @given(vector_and_shift())
+@example((np.array([np.nan, -np.nan] * 8), 1))
 def test_rotate_kernels_match_roll(case):
+    """rotate only copies, so it matches bit for bit.  rotate_add matches up to
+    the sign of NaN + NaN, which numpy picks by its SIMD loop (see ``bits``):
+    on the example above ``a + np.roll(a, -1)`` and the kernel differ there."""
     a, k = case
     a.flags.writeable = False
     assert same_bits(_kernels.rotate(a, k), ref_rotate(a, k))
-    assert same_bits(_kernels.rotate_add(a, k), ref_rotate_add(a, k))
+    assert bits(_kernels.rotate_add(a, k)) == bits(ref_rotate_add(a, k))
 
 
 @settings(max_examples=300, deadline=None)

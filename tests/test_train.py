@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from henn.data import Batch, one_hot
-from henn.engine import EngineConfig
-from henn.losses import PolyApprox
+from henn.enc_train import EncryptedTrainer, fit_slots
+from henn.engine import EngineConfig, SlotEngine
+from henn.errors import MatrixTooLarge
+from henn.losses import LossSpec, PolyApprox
+from henn.nn import init_params
 from henn.train import (
     compare_backends,
     default_sigmoid_poly,
@@ -51,6 +54,34 @@ def test_determinism_per_backend():
         b = train(batch, **kw)
         assert a.payload_hash() == b.payload_hash()
         assert a.payload() == b.payload()
+
+
+def test_engine_config_must_match_an_encrypted_backend():
+    rng = np.random.default_rng(2)
+    batch = make_classification_batch(rng, 5, 2, 2)
+    with pytest.raises(ValueError, match="engine_config is for backend 'exact'"):
+        train(batch, hidden=3, iterations=1, backend="leveled", engine_config=small_engine(128))
+    with pytest.raises(ValueError, match="unknown backend"):
+        train(batch, hidden=3, iterations=1, backend="noisy")
+    # the plain backend ignores the config, as compare_backends passes it to both runs
+    plain = train(batch, hidden=3, iterations=1, backend="plain", seed=1,
+                  engine_config=EngineConfig(slots=128, backend="leveled"))
+    assert plain.payload() == train(batch, hidden=3, iterations=1, backend="plain", seed=1).payload()
+
+
+def test_fit_slots_holds_the_widest_block():
+    # iris at paper scale: n=150, 1+d=5, hidden 120 (block 150 * 121), 3 classes
+    assert fit_slots(150, 5, 120, 3) == 32768
+    assert fit_slots(5, 3, 3, 2) == 32                  # 5 * (1 + 3) = 20
+    assert fit_slots(5, 3, 3, 2, floor=64) == 64
+    assert fit_slots(4, 4, 3, 4) == 16                  # exactly a power of two
+    assert fit_slots(1, 1, 0, 1) == 1
+    rng = np.random.default_rng(3)
+    batch = make_classification_batch(rng, 5, 3, 2)
+    params = init_params(batch.d, 3, 2, 0)
+    EncryptedTrainer(SlotEngine(small_engine(32)), batch, params, LossSpec("sle2"))
+    with pytest.raises(MatrixTooLarge):
+        EncryptedTrainer(SlotEngine(small_engine(16)), batch, params, LossSpec("sle2"))
 
 
 def test_leveled_low_budget_halts_structured():

@@ -19,9 +19,9 @@ import sys
 from pathlib import Path
 
 from . import data as dio
+from .enc_train import fit_slots
 from .engine import EngineConfig
 from .errors import HennError
-from .enc_train import fit_slots
 from .losses import LOSS_KINDS, PolyApprox, fit_sigmoid_poly
 from .train import TRAIN_BACKENDS, compare_backends, payload_digest, run_sle_experiment, train
 

@@ -5,10 +5,14 @@ series), ``compare`` (plain vs exact backend oracle check), ``sle-experiment``
 (the loss-variant comparison protocol), ``fit-sigmoid`` (least-squares sigmoid
 polynomial).  Every flag can also come from a JSON config file (--config) or
 from an HENN_<FLAG> environment variable; precedence is flag > env > config
-file > default.
+file > default.  A config key that no subcommand defines, or an env or config
+value outside a flag's choices, is a configuration error.  Every JSON artifact
+is strict JSON: no NaN or Infinity tokens.
 
 Exit codes: 0 ok, 2 configuration error, 3 depth budget exhausted (report is
-still written with the iterations achieved), 4 backend divergence in compare.
+still written with the iterations achieved), 4 backend divergence in compare,
+5 non-finite value (a train report is still written with the last finite
+iteration; any other artifact that would hold one is not written).
 """
 
 import argparse
@@ -21,7 +25,7 @@ from pathlib import Path
 from . import data as dio
 from .enc_train import fit_slots
 from .engine import EngineConfig
-from .errors import HennError
+from .errors import HennError, NonFinite
 from .losses import LOSS_KINDS, PolyApprox, fit_sigmoid_poly
 from .train import TRAIN_BACKENDS, compare_backends, payload_digest, run_sle_experiment, train
 
@@ -29,12 +33,21 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEPTH = 3
 EXIT_DIVERGED = 4
+EXIT_NON_FINITE = 5
 
 DATASET_CHOICES = ("iris", "mnist", "boston")
+CHOICES = {"dataset": DATASET_CHOICES, "loss": LOSS_KINDS, "backend": TRAIN_BACKENDS,
+           "scheme": ("none", "minmax", "zscore", "")}
 
 
-def _resolve(args, config_file: dict, defaults: dict):
-    """flag > HENN_<NAME> env > config file > default."""
+def _resolve(args, defaults: dict):
+    """flag > HENN_<NAME> env > config file > default.  A config key that no
+    command defines, or a value outside the key's CHOICES, is an error."""
+    config_file = _load_config_file(args.config)
+    known = {key for _, table, _ in COMMANDS.values() for key in table}
+    unknown = sorted(set(config_file) - known)
+    if unknown:
+        raise HennError(f"{args.config}: unknown config keys {unknown}")
     out = {}
     for key, default in defaults.items():
         val = getattr(args, key, None)
@@ -51,6 +64,8 @@ def _resolve(args, config_file: dict, defaults: dict):
                 val = str(val).strip().lower() in {"1", "true", "yes", "on"}
             else:
                 val = type(default)(val)
+        if key in CHOICES and val not in CHOICES[key]:
+            raise HennError(f"{key} {val!r} is not one of {CHOICES[key]}")
         out[key] = val
     return out
 
@@ -59,7 +74,10 @@ def _load_config_file(path):
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise HennError(f"{path}: a config file holds one JSON object")
+    return doc
 
 
 def _engine_config(opts) -> EngineConfig:
@@ -78,14 +96,12 @@ def _load_dataset(opts):
             raise HennError("boston needs --data-dir with boston.csv")
         ds = dio.load_boston(data_dir / "boston.csv")
         ds = dio.split_dataset(ds, 0.2, seed=opts["seed"])
-    elif name == "mnist":
+    else:  # mnist
         if data_dir is None:
             raise HennError("mnist needs --data-dir with the four IDX files")
         ds = dio.load_mnist_pair(
             data_dir / "train-images-idx3-ubyte", data_dir / "train-labels-idx1-ubyte",
             data_dir / "t10k-images-idx3-ubyte", data_dir / "t10k-labels-idx1-ubyte")
-    else:
-        raise HennError(f"unknown dataset {name!r}")
     if opts.get("subset", 0):
         ds = ds.subset(opts["subset"])
     return ds
@@ -93,12 +109,6 @@ def _load_dataset(opts):
 
 def _default_scheme(name):
     return "zscore" if name == "boston" else "minmax"
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
 
 
 TRAIN_DEFAULTS = {
@@ -109,8 +119,7 @@ TRAIN_DEFAULTS = {
 }
 
 
-def cmd_train(args) -> int:
-    opts = _resolve(args, _load_config_file(args.config), TRAIN_DEFAULTS)
+def cmd_train(opts) -> int:
     outdir = Path(opts["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     ds = _load_dataset(opts)
@@ -137,7 +146,7 @@ def cmd_train(args) -> int:
     doc["payload"]["dataset"] = {"name": ds.name, "n": ds.n, "d": ds.d,
                                  "classes": ds.class_count, "scheme": scheme}
     doc["payload_sha256"] = payload_digest(doc["payload"])
-    _write_json(outdir / "report.json", doc)
+    dio.write_json(outdir / "report.json", doc)
     dio.save_checkpoint(
         outdir / "checkpoint.json",
         config={"dataset": opts["dataset"], "loss": opts["loss"], "eta": opts["lr"],
@@ -153,7 +162,7 @@ def cmd_train(args) -> int:
     if report.halted:
         print(f"halted: {report.halted['reason']} after "
               f"{report.halted['iterations_completed']} iterations")
-        return EXIT_DEPTH
+        return EXIT_NON_FINITE if report.halted["reason"] == "non_finite" else EXIT_DEPTH
     return EXIT_OK
 
 
@@ -176,16 +185,14 @@ COMPARE_DEFAULTS = {
 }
 
 
-def cmd_compare(args) -> int:
-    opts = _resolve(args, _load_config_file(args.config), COMPARE_DEFAULTS)
+def cmd_compare(opts) -> int:
     outdir = Path(opts["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     ds = _load_dataset(opts)
     batch, _ = dio.preprocess_pair(ds, opts["scheme"] or _default_scheme(opts["dataset"]))
     slots = opts["slots"] or fit_slots(batch.n, 1 + batch.d, opts["hidden"], batch.Y.shape[1],
                                         floor=64)
-    cfg = EngineConfig(logN=opts["logn"], logQ=opts["logq"], logp=opts["logp"],
-                       slots=slots, backend="exact")
+    cfg = _engine_config({**opts, "slots": slots, "backend": "exact"})
     result = compare_backends(
         batch, backends=("plain", "exact"), seed=opts["seed"],
         seed_b=None if opts["seed_b"] < 0 else opts["seed_b"],
@@ -199,7 +206,7 @@ def cmd_compare(args) -> int:
         "per_iteration": result["per_iteration"],
         "pass": passed,
     }
-    _write_json(outdir / "compare.json", doc)
+    dio.write_json(outdir / "compare.json", doc)
     print(f"max weight divergence {result['max_weight_divergence']:.3e} "
           f"({'PASS' if passed else 'FAIL'} at {opts['tolerance']:.1e})")
     return EXIT_OK if passed else EXIT_DIVERGED
@@ -212,8 +219,7 @@ EXPERIMENT_DEFAULTS = {
 }
 
 
-def cmd_sle_experiment(args) -> int:
-    opts = _resolve(args, _load_config_file(args.config), EXPERIMENT_DEFAULTS)
+def cmd_sle_experiment(opts) -> int:
     outdir = Path(opts["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     ds = _load_dataset(opts)
@@ -226,25 +232,19 @@ def cmd_sle_experiment(args) -> int:
         seed=opts["seed"], workers=opts["workers"])
     result["dataset"] = {"name": ds.name, "n": ds.n, "d": ds.d}
     doc = {"payload": result, "payload_sha256": payload_digest(result)}
-    _write_json(outdir / "sle_experiment.json", doc)
+    dio.write_json(outdir / "sle_experiment.json", doc)
     for lr in lrs:
+        cols = {}
+        for kind in losses:
+            curve = result["curves"][f"{kind}@{lr:g}"]
+            cols.update({f"{kind}_{key}": curve[key + "_mean"]
+                         for key in ("train_loss", "train_accuracy", "test_loss", "test_accuracy")
+                         if key + "_mean" in curve})
         path = outdir / f"curves_lr{lr:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
-            cols = ["epoch"]
-            for kind in losses:
-                for key in ("train_loss", "train_accuracy", "test_loss", "test_accuracy"):
-                    if key + "_mean" in result["curves"][f"{kind}@{lr:g}"]:
-                        cols.append(f"{kind}_{key}")
-            w.writerow(cols)
-            for e in range(opts["epochs"]):
-                row = [e + 1]
-                for kind in losses:
-                    curve = result["curves"][f"{kind}@{lr:g}"]
-                    for key in ("train_loss", "train_accuracy", "test_loss", "test_accuracy"):
-                        if key + "_mean" in curve:
-                            row.append(curve[key + "_mean"][e])
-                w.writerow(row)
+            w.writerow(["epoch", *cols])
+            w.writerows([e + 1, *(col[e] for col in cols.values())] for e in range(opts["epochs"]))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -252,89 +252,53 @@ def cmd_sle_experiment(args) -> int:
 FIT_DEFAULTS = {"degree": 3, "lo": -8.0, "hi": 8.0, "grid": 512, "out": "sigmoid_poly.json"}
 
 
-def cmd_fit_sigmoid(args) -> int:
-    opts = _resolve(args, _load_config_file(args.config), FIT_DEFAULTS)
+def cmd_fit_sigmoid(opts) -> int:
     poly = fit_sigmoid_poly(opts["degree"], opts["lo"], opts["hi"], opts["grid"])
     doc = {"degree": opts["degree"], "grid_points": opts["grid"], **poly.to_dict()}
-    _write_json(opts["out"], doc)
+    dio.write_json(opts["out"], doc)
     print(f"degree {opts['degree']} on [{opts['lo']}, {opts['hi']}]: "
           f"max abs error {poly.max_abs_error:.3e} -> {opts['out']}")
     return EXIT_OK
 
 
+COMMANDS = {
+    "train": (cmd_train, TRAIN_DEFAULTS, "run one training job"),
+    "compare": (cmd_compare, COMPARE_DEFAULTS, "plain vs exact backend equivalence"),
+    "sle-experiment": (cmd_sle_experiment, EXPERIMENT_DEFAULTS, "loss-variant comparison protocol"),
+    "fit-sigmoid": (cmd_fit_sigmoid, FIT_DEFAULTS, "least-squares sigmoid polynomial"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One ``--key-with-dashes`` flag per key of each command's defaults table;
+    fit-sigmoid takes its ``lo``/``hi`` keys as one ``--range LO HI`` pair."""
     ap = argparse.ArgumentParser(prog="henn", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, defaults):
-        p.add_argument("--config", default=None, help="JSON file with flag defaults")
-        if "dataset" in defaults:
-            p.add_argument("--dataset", choices=DATASET_CHOICES)
-            p.add_argument("--data-dir", dest="data_dir")
-            p.add_argument("--subset", type=int)
-            p.add_argument("--scheme", choices=("none", "minmax", "zscore", ""))
-            p.add_argument("--seed", type=int)
-            p.add_argument("--out")
-
-    p = sub.add_parser("train", help="run one training job")
-    common(p, TRAIN_DEFAULTS)
-    p.add_argument("--loss", choices=LOSS_KINDS)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--backend", choices=TRAIN_BACKENDS)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--logn", type=int)
-    p.add_argument("--logq", type=int)
-    p.add_argument("--logp", type=int)
-    p.add_argument("--slots", type=int)
-    p.add_argument("--trace", action="store_const", const=True)
-    p.add_argument("--yes-huge", dest="yes_huge", action="store_const", const=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("compare", help="plain vs exact backend equivalence")
-    common(p, COMPARE_DEFAULTS)
-    p.add_argument("--loss", choices=LOSS_KINDS)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--seed-b", dest="seed_b", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--logn", type=int)
-    p.add_argument("--logq", type=int)
-    p.add_argument("--logp", type=int)
-    p.add_argument("--slots", type=int)
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("sle-experiment", help="loss-variant comparison protocol")
-    common(p, EXPERIMENT_DEFAULTS)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lrs")
-    p.add_argument("--losses")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(fn=cmd_sle_experiment)
-
-    p = sub.add_parser("fit-sigmoid", help="least-squares sigmoid polynomial")
-    p.add_argument("--config", default=None)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--range", dest="range_", nargs=2, type=float, metavar=("LO", "HI"))
-    p.add_argument("--grid", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_fit_sigmoid)
+    for name, (_, defaults, help_) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--config", help="JSON file with flag defaults")
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            elif key not in ("lo", "hi"):
+                p.add_argument(flag, dest=key, type=type(default), choices=CHOICES.get(key))
+        if "lo" in defaults:
+            p.add_argument("--range", dest="range_", nargs=2, type=float, metavar=("LO", "HI"))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "range_", None):
         args.lo, args.hi = args.range_
+    fn, defaults, _ = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return fn(_resolve(args, defaults))
+    except NonFinite as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NON_FINITE
     except (HennError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,6 +22,7 @@ from .errors import (
     BadMagic,
     CountMismatch,
     DegenerateFeatureWarning,
+    NonFinite,
     ParseError,
     ShapeError,
     VersionMismatch,
@@ -340,6 +341,17 @@ def split_dataset(ds: Dataset, test_fraction: float = 0.2, seed: int = 0) -> Dat
 
 # --- checkpoints -----------------------------------------------------------------
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as strict JSON (indent 1, trailing newline).  A NaN or
+    an infinity raises NonFinite before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as e:
+        raise NonFinite(f"{path}: {e}") from None
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
+
+
 def save_checkpoint(path, *, config: dict, W, V, loss_kind: str,
                     sigmoid_poly=None, seed=None, iterations_completed=0):
     doc = {
@@ -354,9 +366,7 @@ def save_checkpoint(path, *, config: dict, W, V, loss_kind: str,
         "seed": seed,
         "iterations_completed": iterations_completed,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_json(path, doc)
     return doc
 
 

@@ -73,13 +73,10 @@ class IterationContext:
 
     engine: SlotEngine
     n: int
-    u: int        # 1 + d
-    m: int
     c: int
-    wz: int       # 1 + m
     s_exp: list   # n x c scalar-expanded error-signal entries
-    z_rows: list  # n hidden-row ciphertexts, width wz
-    x_rows: list  # n input-row ciphertexts, width u
+    z_rows: list  # n hidden-row ciphertexts, width 1 + m
+    x_rows: list  # n input-row ciphertexts, width 1 + d
     zp_em: EncodedMatrix   # n x m activation-derivative grid
     v_enc: list   # c repeated-row output-weight encodings
 
@@ -226,8 +223,7 @@ class EncryptedTrainer:
                  for i in range(self.n)]
         z_rows = [eng.cmult(eng.rotate(z_em.parts[0], i * self.wz), prefix_mask(eng, self.wz))
                   for i in range(self.n)]
-        return IterationContext(eng, self.n, self.u, self.m, self.c, self.wz,
-                                s_exp, z_rows, self.x_rows, zp_em, self.V_enc)
+        return IterationContext(eng, self.n, self.c, s_exp, z_rows, self.x_rows, zp_em, self.V_enc)
 
     def _updated_row(self, w_em: EncodedMatrix, grad_row: SlotVector, width: int) -> EncodedMatrix:
         """Replicate the gradient row across all blocks, add the L2 term, mask

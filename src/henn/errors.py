@@ -46,7 +46,8 @@ class TileShapeMismatch(HennError):
 # --- losses ----------------------------------------------------------------
 
 class NonFinite(HennError):
-    """A log-likelihood term hit its singularity."""
+    """A value that must be finite is not: a log-likelihood term at its
+    singularity, or a NaN or infinity in a document bound for strict JSON."""
 
 
 class IllConditioned(HennError):

@@ -123,8 +123,11 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
 
     Weights start from normal(0, 0.05) under the given seed, identically on
     every backend.  On the leveled backend a depth-exhausted run halts with a
-    structured report instead of raising.  An encrypted backend refuses an
-    ``engine_config`` made for another backend; the plain backend ignores it.
+    structured report instead of raising; on every backend so does the first
+    iteration with a non-finite metric or weight (reason ``non_finite``).
+    Either halt keeps the rows and weights of the last complete iteration.  An
+    encrypted backend refuses an ``engine_config`` made for another backend;
+    the plain backend ignores it.
     """
     if backend not in TRAIN_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {TRAIN_BACKENDS}")
@@ -149,12 +152,11 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
             t0 = time.perf_counter()
             trace = forward(params, batch.X)
             gW, gV = backward(params, batch.X, batch.Y, trace, spec)
-            params = sgd_step(params, gW, gV)
+            step = sgd_step(params, gW, gV)
             per_iter_ms.append((time.perf_counter() - t0) * 1000.0)
-            row = {"iter": it, **_metrics(params, batch, spec), "min_level": None}
-            _attach_test(row, params, test_batch, spec)
-            report.iterations.append(row)
-        final_W, final_V = params.W, params.V
+            if not _record(report, it, step, batch, test_batch, spec, None):
+                break
+            params = step
     else:
         cfg = engine_config if engine_config is not None else EngineConfig(backend=backend)
         if cfg.backend != backend:
@@ -163,6 +165,7 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
         engine = SlotEngine(cfg, trace=trace_obj)
         trainer = EncryptedTrainer(engine, batch, params, spec)
         report.engine = {**cfg.to_dict(), "level_budget": cfg.level_budget}
+        params = ModelParams(*trainer.current_weights(), eta=eta, lam=lam)
         for it in range(1, iterations + 1):
             if trace_obj is not None:
                 trace_obj.begin_phase(f"iteration {it}")
@@ -174,13 +177,10 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
                                  "iterations_completed": it - 1, "detail": str(e)}
                 break
             per_iter_ms.append((time.perf_counter() - t0) * 1000.0)
-            W, V = trainer.current_weights()
-            snapshot = ModelParams(W, V, eta=eta, lam=lam)
-            row = {"iter": it, **_metrics(snapshot, batch, spec),
-                   "min_level": trainer.min_level()}
-            _attach_test(row, snapshot, test_batch, spec)
-            report.iterations.append(row)
-        final_W, final_V = trainer.current_weights()
+            step = ModelParams(*trainer.current_weights(), eta=eta, lam=lam)
+            if not _record(report, it, step, batch, test_batch, spec, trainer.min_level()):
+                break
+            params = step
         if trace_obj is not None:
             rep = depth_report(trace_obj)
             report.depth = {
@@ -192,11 +192,27 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
                 ],
             }
 
-    report.W, report.V = final_W, final_V
+    report.W, report.V = params.W, params.V
     report.timing = {"wall_ms_total": (time.perf_counter() - t_start) * 1000.0,
                      "per_iteration_ms": per_iter_ms,
                      "created_unix": time.time()}
     return report
+
+
+def _record(report, it, params: ModelParams, batch, test_batch, spec, min_level) -> bool:
+    """Append iteration ``it``'s metrics row.  If a metric or a weight is not
+    finite, set a ``non_finite`` halt instead and return False."""
+    row = {"iter": it, **_metrics(params, batch, spec), "min_level": min_level}
+    _attach_test(row, params, test_batch, spec)
+    for name, val in [*row.items(), ("W", params.W), ("V", params.V)]:
+        if val is not None and not np.all(np.isfinite(val)):
+            what = (f"{name} = {val}" if np.ndim(val) == 0
+                    else f"{name} has {np.count_nonzero(~np.isfinite(val))} non-finite entries")
+            report.halted = {"reason": "non_finite", "iterations_completed": it - 1,
+                             "detail": f"{what} at iteration {it}"}
+            return False
+    report.iterations.append(row)
+    return True
 
 
 def _attach_test(row, params, test_batch, spec):
@@ -219,8 +235,8 @@ def compare_backends(batch, *, backends=("plain", "exact"), seed: int = 0,
         kwargs["sigmoid_poly"] = default_sigmoid_poly()
     rep_a = train(batch, backend=backends[0], seed=seed, **kwargs)
     rep_b = train(batch, backend=backends[1], seed=seed if seed_b is None else seed_b, **kwargs)
-    dw = float(np.max(np.abs(rep_a.W - rep_b.W))) if rep_a.W.shape == rep_b.W.shape else float("inf")
-    dv = float(np.max(np.abs(rep_a.V - rep_b.V))) if rep_a.V.shape == rep_b.V.shape else float("inf")
+    dw = float(np.max(np.abs(rep_a.W - rep_b.W)))
+    dv = float(np.max(np.abs(rep_a.V - rep_b.V)))
     deltas = []
     for ra, rb in zip(rep_a.iterations, rep_b.iterations):
         deltas.append({"iter": ra["iter"], "loss_delta": abs(ra["loss"] - rb["loss"])})

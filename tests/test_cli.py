@@ -1,5 +1,6 @@
 """CLI surface: flags, files, exit codes, env/config precedence."""
 
+import argparse
 import csv
 import json
 import os
@@ -177,3 +178,79 @@ def test_encrypted_sle1_checkpoint_keeps_the_default_cubic(tmp_path):
     assert poly.to_dict() == default_sigmoid_poly().to_dict()
     report = json.loads((out / "report.json").read_text())
     assert report["payload"]["sigmoid_poly"] == poly.to_dict()
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def test_diverging_run_exits_non_finite_with_strict_json(tmp_path):
+    out = tmp_path / "run"
+    code = run(["train", "--lr", "50", "--iters", "6", "--out", str(out)])
+    assert code == cli.EXIT_NON_FINITE == 5
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    json.loads((out / "checkpoint.json").read_text(), parse_constant=_refuse_constant)
+    halted = report["payload"]["halted"]
+    assert halted["reason"] == "non_finite" and halted["iterations_completed"] == 3
+    assert len(report["payload"]["iterations"]) == 3
+    for path in out.iterdir():
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text, path.name
+
+
+def test_unknown_config_key_fails_before_any_work(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hiden": 3, "iters": 1}))
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    # a key of another command is allowed, so one file serves train and compare
+    cfg.write_text(json.dumps({"hidden": 3, "iters": 1, "tolerance": 1e-6}))
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+
+
+def test_env_and_config_values_obey_the_flag_choices(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss": "sle3", "iters": 1}))
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    monkeypatch.setenv("HENN_BACKEND", "ckks")
+    assert run(["train", "--iters", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+PARENT_OPTIONS = {
+    "train": ["--backend", "--config", "--data-dir", "--dataset", "--hidden", "--iters",
+              "--l2", "--logn", "--logp", "--logq", "--loss", "--lr", "--out", "--scheme",
+              "--seed", "--slots", "--subset", "--trace", "--yes-huge"],
+    "compare": ["--config", "--data-dir", "--dataset", "--hidden", "--iters", "--l2", "--logn",
+                "--logp", "--logq", "--loss", "--lr", "--out", "--scheme", "--seed", "--seed-b",
+                "--slots", "--subset", "--tolerance"],
+    "sle-experiment": ["--config", "--data-dir", "--dataset", "--epochs", "--hidden", "--losses",
+                       "--lrs", "--out", "--repeats", "--scheme", "--seed", "--subset",
+                       "--workers"],
+    "fit-sigmoid": ["--config", "--degree", "--grid", "--out", "--range"],
+}
+
+
+def test_cli_surface_is_the_command_tables():
+    ap = cli.build_parser()
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli.COMMANDS) == set(PARENT_OPTIONS)
+    for name, (_, defaults, _) in cli.COMMANDS.items():
+        sub = subparsers.choices[name]
+        options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == set(PARENT_OPTIONS[name]), name
+        for key, default in defaults.items():
+            if key in ("lo", "hi"):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                assert getattr(ap.parse_args([name, flag]), key) is True
+                assert getattr(ap.parse_args([name]), key) is None
+                continue
+            value = cli.CHOICES[key][-1] if key in cli.CHOICES else "7"
+            parsed = getattr(ap.parse_args([name, flag, value]), key)
+            assert type(parsed) is type(default) and parsed == type(default)(value), flag
+    args = ap.parse_args(["fit-sigmoid", "--range", "-3", "4"])
+    assert args.range_ == [-3.0, 4.0]

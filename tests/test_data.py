@@ -10,6 +10,7 @@ from henn.errors import (
     BadMagic,
     CountMismatch,
     DegenerateFeatureWarning,
+    NonFinite,
     ParseError,
     ShapeError,
     VersionMismatch,
@@ -197,6 +198,17 @@ def test_checkpoint_version_mismatch(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(VersionMismatch):
         dio.load_checkpoint(p)
+
+
+def test_write_json_refuses_non_finite_and_writes_nothing(tmp_path):
+    p = tmp_path / "doc.json"
+    with pytest.raises(NonFinite, match="doc.json"):
+        dio.write_json(p, {"x": float("nan")})
+    assert not p.exists()
+    with pytest.raises(NonFinite):
+        dio.save_checkpoint(p, config={}, W=np.full((1, 1), np.inf), V=np.ones((1, 1)),
+                            loss_kind="mse")
+    assert not p.exists()
 
 
 def test_iris_checkpoint_hidden_120_has_120_rows(tmp_path):

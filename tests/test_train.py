@@ -107,6 +107,24 @@ def test_leveled_budget_33_runs_two_iterations():
     assert depths[0] == depths[1] == 14
 
 
+@pytest.mark.parametrize("backend", ["plain", "exact"])
+def test_diverging_run_halts_at_the_first_non_finite_iteration(backend):
+    """lr 50 on iris sends the loss to inf at iteration 4; the report keeps
+    the three finite iterations and their weights, bit for bit."""
+    from henn.data import load_iris, preprocess
+
+    batch = preprocess(load_iris())
+    cfg = None if backend == "plain" else EngineConfig(slots=1024, backend=backend)
+    kw = dict(hidden=4, eta=50.0, backend=backend, engine_config=cfg)
+    rep = train(batch, iterations=6, **kw)
+    assert rep.halted == {"reason": "non_finite", "iterations_completed": 3,
+                          "detail": "loss = inf at iteration 4"}
+    finite = train(batch, iterations=3, **kw)
+    assert finite.halted is None
+    assert rep.iterations == finite.iterations
+    assert np.array_equal(rep.W, finite.W) and np.array_equal(rep.V, finite.V)
+
+
 def test_iris_loss_decreases_for_nearly_all_seeds():
     """Full-batch descent at the small fixed rate improves the raw-logit loss
     on both of the first two iterations for >= 95% of seeds."""

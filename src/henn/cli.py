@@ -63,7 +63,10 @@ def _resolve(args, defaults: dict):
             if isinstance(default, bool):
                 val = str(val).strip().lower() in {"1", "true", "yes", "on"}
             else:
-                val = type(default)(val)
+                try:
+                    val = type(default)(val)
+                except TypeError:
+                    raise HennError(f"{key} {val!r} is not a {type(default).__name__}") from None
         if key in CHOICES and val not in CHOICES[key]:
             raise HennError(f"{key} {val!r} is not one of {CHOICES[key]}")
         out[key] = val

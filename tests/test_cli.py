@@ -209,10 +209,12 @@ def test_unknown_config_key_fails_before_any_work(tmp_path):
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
 
 
-def test_env_and_config_values_obey_the_flag_choices(tmp_path, monkeypatch):
+def test_env_and_config_values_obey_the_flag_types_and_choices(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"loss": "sle3", "iters": 1}))
     out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    cfg.write_text(json.dumps({"hidden": [3], "iters": 1}))
     assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     monkeypatch.setenv("HENN_BACKEND", "ckks")
     assert run(["train", "--iters", "1", "--out", str(out)]) == cli.EXIT_CONFIG

@@ -13,11 +13,25 @@ both are the correctly rounded value of the same real number x * 2**-logp,
 subnormal results included, and both keep signed zeros, infinities and NaN.
 The multiplication is several times cheaper than the division.
 
-``quantize`` and ``mult_rescale`` also accept Python and numpy scalars and
-0-d arrays (a structured mask's value, a one-hot slot, a uniform vector's
-value) and then return a 0-d array; ``mult_rescale`` broadcasts a scalar
-against an array operand.
+``mult_rescale`` also takes a scalar operand (a uniform vector's value) and
+broadcasts it against the array one.
+
+Scalar kernels.  ``rint``, ``quantize_float`` and ``mult_rescale_float``
+take and return Python floats; the engine uses them where an op computes one
+value (a uniform vector's, the picked slot of a one-hot ``cmult``), which
+spares numpy's per-call dispatch and 0-d arrays.  They give the same bits as the array
+kernels: the products and the power-of-two scalings are the same IEEE
+double operations in Python as in numpy.  ``rint`` is exact too.  A finite
+x is either below 2**52 in magnitude, where ``round`` (ties to even, like
+IEEE rint) gives the nearest integer exactly as a Python int and that
+integer is at most 2**52, so ``float`` converts it back exactly; or it is
+already an integer, which ``round`` and ``float`` return unchanged.
+``copysign`` then gives a zero result the sign of x, as rint does (-0.3 ->
+-0.0).  Infinities and NaN, for which ``round`` would raise, pass through
+unchanged, as they do through rint.
 """
+
+import math
 
 import numpy as np
 
@@ -57,3 +71,20 @@ def mult_rescale(a, b, scale):
     np.rint(out, out=out)
     out *= 1.0 / scale
     return out
+
+
+def rint(x):
+    """IEEE rint of a Python float (see the module docstring)."""
+    if math.isfinite(x):
+        return math.copysign(float(round(x)), x)
+    return x
+
+
+def quantize_float(x, scale):
+    """``quantize`` of one Python float."""
+    return rint(x * scale) * (1.0 / scale)
+
+
+def mult_rescale_float(a, b, scale):
+    """``mult_rescale`` of two Python floats."""
+    return rint((a * b) * scale) * (1.0 / scale)

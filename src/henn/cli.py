@@ -35,6 +35,8 @@ EXIT_DEPTH = 3
 EXIT_DIVERGED = 4
 EXIT_NON_FINITE = 5
 
+BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+              **dict.fromkeys(("0", "false", "no", "off"), False)}
 DATASET_CHOICES = ("iris", "mnist", "boston")
 CHOICES = {"dataset": DATASET_CHOICES, "loss": LOSS_KINDS, "backend": TRAIN_BACKENDS,
            "scheme": ("none", "minmax", "zscore", "")}
@@ -61,7 +63,10 @@ def _resolve(args, defaults: dict):
                 val = default
         if val is not None and default is not None and not isinstance(val, type(default)):
             if isinstance(default, bool):
-                val = str(val).strip().lower() in {"1", "true", "yes", "on"}
+                word = str(val).strip().lower()
+                if word not in BOOL_WORDS:
+                    raise HennError(f"{key} {val!r} is not one of {sorted(BOOL_WORDS)}")
+                val = BOOL_WORDS[word]
             else:
                 try:
                     val = type(default)(val)
@@ -201,17 +206,24 @@ def cmd_compare(opts) -> int:
         seed_b=None if opts["seed_b"] < 0 else opts["seed_b"],
         loss=opts["loss"], hidden=opts["hidden"], eta=opts["lr"], lam=opts["l2"],
         iterations=opts["iters"], engine_config=cfg)
-    passed = result["max_weight_divergence"] <= opts["tolerance"]
+    non_finite = [h for h in result["halted"] if h and h["reason"] == "non_finite"]
+    passed = not non_finite and result["max_weight_divergence"] <= opts["tolerance"]
     doc = {
         "backends": result["backends"],
         "max_weight_divergence": result["max_weight_divergence"],
         "tolerance": opts["tolerance"],
         "per_iteration": result["per_iteration"],
+        "halted": result["halted"],
         "pass": passed,
     }
     dio.write_json(outdir / "compare.json", doc)
+    for backend, h in zip(result["backends"], result["halted"]):
+        if h:
+            print(f"{backend} halted: {h['reason']} after {h['iterations_completed']} iterations")
     print(f"max weight divergence {result['max_weight_divergence']:.3e} "
           f"({'PASS' if passed else 'FAIL'} at {opts['tolerance']:.1e})")
+    if non_finite:
+        return EXIT_NON_FINITE
     return EXIT_OK if passed else EXIT_DIVERGED
 
 

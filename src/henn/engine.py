@@ -18,8 +18,8 @@ mask builders in ``encoding`` make structured masks.  On the leveled backend
 mask is one scalar; it then touches only the picked slots beyond the
 ``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
 
-Besides the dense form, a result can take one of two lazy forms, which hold
-what defines their slots instead of the slots themselves:
+Besides the dense form, a result can take one of three lazy forms, which
+hold what defines their slots instead of the slots themselves:
 
 * flood (``FloodVector``): ``cmult`` of a vector by a one-hot structured
   mask (window 1), followed by ``rotate_add(v, k)`` calls with ``k`` equal to
@@ -30,22 +30,36 @@ what defines their slots instead of the slots themselves:
   exactly one copy of v and of signed zeros (``x * 0.0`` of finite x), and
   v + (+-0.0) == v, so every slot is exactly v.  Otherwise it stays a flood.
 * uniform (``UniformVector``): every slot holds one value.
+* product (``ProductVector``): on the leveled backend, ``mult(t, x)`` of a
+  uniform t by an x whose slots are +0.0 outside a support of at most an
+  eighth of the slots (-0.0, NaN and the infinities belong to the support).
+  Outside the support every slot is t * +0.0: a signed zero for finite t
+  and NaN otherwise, both of which the scale, ``rint`` and unscale passes
+  return unchanged, so only the support is rescaled.  The support is found once per x and
+  cached on it.  This is the grad-W pattern ``t * x_rows[i]``: an input row
+  has at most 1 + d slots that are not +0.0.
 
 Only the operand forms that training and ``dvr_matmul`` produce have lazy
-paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of two uniform
-vectors, which compute that one float64 with the same kernel or float
-operation the dense form would apply to each slot; ``mult`` of a uniform left
-operand by a dense one, where the value enters as a scalar that numpy
-broadcasts to the same slotwise arithmetic; and ``add``/``sub`` with an unread
-flood as the right operand, which writes into the flood's fresh build.  Every
-other combination reads ``slots`` and takes the dense path.
+or scalar paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of
+two uniform vectors, and the picked slot of a one-hot ``cmult``, which
+compute their one value with Python floats (``operator.add``/``sub`` and the
+scalar kernels ``_kernels.mult_rescale_float``/``quantize_float``), the same
+IEEE operations the dense form applies to each slot; ``mult`` of a uniform
+left operand by a dense one, which gives a product as above or, for a
+wide support, enters the value as a scalar that numpy broadcasts to the same
+slotwise arithmetic; and ``add``/``sub`` with an
+unread flood or product as the right operand, which writes into the flood's
+fresh build or applies the product without building it.  Every other
+combination reads ``slots`` and takes the dense path.
 
 Reading ``slots`` of a lazy vector replays the dense composition (``np.full``
 for a uniform one; ``src.slots * 0.0``, the picked slot and the recorded
-``rotate_add`` doublings for a flood), caches the read-only result on the
-vector and returns it, so both paths give the same bits.  The cache is the
-only state written after construction; filling it is idempotent, so two
-threads that race on it both see the same bits.  Every op is still one engine
+``rotate_add`` doublings for a flood; ``np.full`` of the signed zero with the
+rescaled support for a product), caches the read-only result on the vector
+and returns it, so both paths give the same bits.  That cache, and the
+finiteness and support that ``_all_finite`` and ``_support`` cache, are the
+only state written after construction; filling each is idempotent, so two
+threads that race on it both see the same values.  Every op is still one engine
 call with its own uid, level and trace records, whatever the form of its
 operands.
 
@@ -110,8 +124,9 @@ class SlotVector:
     build ``slots`` on first read.
     """
 
-    # _finite: whether every slot is finite, cached on first need (unset until then)
-    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite")
+    # _finite, _support: see _all_finite and _support; cached on first need
+    # (unset until then)
+    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite", "_support")
 
     def __init__(self, slots: np.ndarray, level, scale_bits, uid: int):
         slots.flags.writeable = False
@@ -193,12 +208,51 @@ class FloodVector(_LazyVector):
         return out
 
 
+class ProductVector(_LazyVector):
+    """``mult(t, x)`` on the leveled backend for a uniform t and an x that is
+    +0.0 outside the indices ``support``.  Every other slot holds ``zero`` =
+    t * +0.0, which the rescale passes leave as it is (a signed zero, or NaN
+    when t is not finite); ``picked`` holds the rescaled products on the
+    support."""
+
+    __slots__ = ("zero", "support", "picked")
+
+    def __init__(self, size, zero: float, support, picked, level, scale_bits, uid):
+        self.size = size
+        self.zero = zero
+        self.support = support
+        self.picked = picked
+        self.level = level
+        self.scale_bits = scale_bits
+        self.uid = uid
+        self._cache = None
+
+    def _build(self):
+        out = np.full(self.size, self.zero)
+        out[self.support] = self.picked
+        return out
+
+
 def _all_finite(v: SlotVector) -> bool:
     """Whether every slot of v is finite; cached on v."""
     finite = getattr(v, "_finite", None)
     if finite is None:
         finite = v._finite = bool(np.isfinite(v.slots).all())
     return finite
+
+
+def _support(v: SlotVector):
+    """The indices of the slots of v that are not +0.0 (-0.0, NaN and the
+    infinities count: their bit patterns are not all zero), or None when
+    they are more than an eighth of the slots, where the dense kernel is
+    cheaper; cached on v."""
+    support = getattr(v, "_support", False)
+    if support is False:
+        support = np.flatnonzero(v.slots.view(np.int64))
+        if support.shape[0] > len(v) // 8:
+            support = None
+        v._support = support
+    return support
 
 
 class PlainMask:
@@ -404,21 +458,30 @@ class SlotEngine:
 
     # --- operations ---------------------------------------------------------
 
-    def _sum(self, op, ufunc, a: SlotVector, b: SlotVector) -> SlotVector:
+    def _sum(self, op, ufunc, scalar_op, a: SlotVector, b: SlotVector) -> SlotVector:
         """The body of add and sub: ufunc (np.add or np.subtract) slotwise.
 
-        Two uniform operands give one float64.  An unread flood as the right
-        operand is built fresh and the result written into it, instead of
-        into a new full-width buffer; numpy computes an in-place ufunc slot by
-        slot, so the bits are those of a new output.
+        Two uniform operands give one float through scalar_op (operator.add
+        or operator.sub), the same IEEE operation.  An unread flood as the
+        right operand is built fresh and the result written into it, instead
+        of into a new full-width buffer; numpy computes an in-place ufunc slot
+        by slot, so the bits are those of a new output.  An unread product as
+        the right operand is never built: its ``zero`` enters every slot in
+        one pass, and the slots of its support are then overwritten with the
+        results for its rescaled products.
         """
         self._check_pair(a, b)
         level = min(a.level, b.level) if self._leveled else None
         if type(a) is UniformVector and type(b) is UniformVector:
-            sv = self._uniform(float(ufunc(a.value, b.value)), a.size, level)
+            sv = self._uniform(scalar_op(a.value, b.value), a.size, level)
         elif type(b) is FloodVector and b._cache is None:
             out = b._build()
             sv = self._new(ufunc(a.slots, out, out=out), level)
+        elif type(b) is ProductVector and b._cache is None:
+            x = a.slots
+            out = ufunc(x, b.zero)
+            out[b.support] = ufunc(x[b.support], b.picked)
+            sv = self._new(out, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
         self._record(op, (a, b), sv, 0)
@@ -426,17 +489,19 @@ class SlotEngine:
 
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise sum; leveled result drops to the lower operand level."""
-        return self._sum("add", np.add, a, b)
+        return self._sum("add", np.add, operator.add, a, b)
 
     def sub(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise difference (additive inverse is free, like add)."""
-        return self._sum("sub", np.subtract, a, b)
+        return self._sum("sub", np.subtract, operator.sub, a, b)
 
     def mult(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise product; leveled backend rescales and consumes one level.
 
-        A uniform left operand enters as a scalar; two uniform operands give
-        one float64."""
+        Two uniform operands give one float through the scalar kernel.  A
+        uniform left operand enters as a scalar; on the leveled backend, when
+        the right operand is sparse (``_support``), only its support is
+        rescaled and the result is a ``ProductVector``."""
         self._check_pair(a, b)
         if self._leveled:
             self._require_level("mult", a, b)
@@ -444,11 +509,22 @@ class SlotEngine:
         else:
             level = None
         ua = type(a) is UniformVector
-        both = ua and type(b) is UniformVector
-        x = a.value if ua else a.slots
-        y = b.value if both else b.slots
-        out = _kernels.mult_rescale(x, y, self._scale) if self._leveled else x * y
-        sv = self._uniform(float(out), len(a), level) if both else self._new(out, level)
+        if ua and type(b) is UniformVector:
+            if self._leveled:
+                value = _kernels.mult_rescale_float(a.value, b.value, self._scale)
+            else:
+                value = a.value * b.value
+            sv = self._uniform(value, len(a), level)
+        else:
+            x = a.value if ua else a.slots
+            if not self._leveled:
+                sv = self._new(x * b.slots, level)
+            elif ua and (support := _support(b)) is not None:
+                picked = _kernels.mult_rescale(x, b.slots[support], self._scale)
+                sv = ProductVector(len(b), x * 0.0, support, picked, level,
+                                   self.config.logp, next(self._uid))
+            else:
+                sv = self._new(_kernels.mult_rescale(x, b.slots, self._scale), level)
         self._record("mult", (a, b), sv, 1)
         return sv
 
@@ -476,22 +552,27 @@ class SlotEngine:
             else:
                 out = x * m.slots
             sv = self._new(out, level)
+        elif type(m.index) is int:
+            picked = float(x[m.index])
+            if self._leveled:
+                mq = _kernels.quantize_float(m.value, self._scale)
+                picked = _kernels.mult_rescale_float(picked, mq, self._scale)
+            else:
+                picked *= m.value
+            sv = self._flood(a, m.index, picked, 1, len(a), level)
         else:
             # The picked product is formed before the full-width output is
             # allocated: for the same work, the other order measured about
             # 10 % slower on the paper-scale step.
             picked = x[m.index]
             if self._leveled:
-                mq = _kernels.quantize(m.value, self._scale)
+                mq = _kernels.quantize_float(m.value, self._scale)
                 picked = _kernels.mult_rescale(picked, mq, self._scale)
             else:
                 picked = picked * m.value
-            if type(m.index) is int:
-                sv = self._flood(a, m.index, float(picked), 1, len(a), level)
-            else:
-                out = x * 0.0
-                out[m.index] = picked
-                sv = self._new(out, level)
+            out = x * 0.0
+            out[m.index] = picked
+            sv = self._new(out, level)
         self._record("cmult", (a,), sv, 1)
         return sv
 

@@ -228,6 +228,7 @@ def compare_backends(batch, *, backends=("plain", "exact"), seed: int = 0,
     """Run the same configuration under two backends and report divergence.
 
     seed_b forces a different seed on the second run (diagnostic FAIL path).
+    ``halted`` holds each run's halt record (None for a run that completed).
     Sigmoid-based losses get one shared polynomial so both paths evaluate the
     same arithmetic."""
     kind = kwargs.get("loss", "sle2")
@@ -245,6 +246,7 @@ def compare_backends(batch, *, backends=("plain", "exact"), seed: int = 0,
         "max_weight_divergence": max(dw, dv),
         "per_iteration": deltas,
         "iterations": [rep_a.iterations_completed, rep_b.iterations_completed],
+        "halted": [rep_a.halted, rep_b.halted],
         "reports": (rep_a, rep_b),
     }
 

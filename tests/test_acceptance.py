@@ -274,7 +274,7 @@ def test_criterion_depth_budget_consistency(leveled_iris_run, iris_batch):
     depths = [p["depth"] for p in rep.depth["phases"][:2]]
     assert depths[0] == depths[1], "per-iteration depth must be stable"
     d_iter = depths[0]
-    assert d_iter > 11
+    assert d_iter == 14, "the 14-level sle2 schedule of enc_train.py"
     assert 2 * d_iter <= 33 < 3 * d_iter
 
     # the same schedule at desk scale reports the identical depth
@@ -282,7 +282,8 @@ def test_criterion_depth_budget_consistency(leveled_iris_run, iris_batch):
     small = make_classification_batch(rng, 6, 3, 3)
     small_rep = train(small, loss="sle2", hidden=4, iterations=3, backend="leveled",
                       engine_config=EngineConfig(slots=128), seed=1, instrument=True)
-    assert [p["depth"] for p in small_rep.depth["phases"][:2]] == [d_iter, d_iter]
+    # two full iterations, then the third stops at depth 5 (hidden x output-row products)
+    assert [p["depth"] for p in small_rep.depth["phases"]] == [d_iter, d_iter, 5]
     assert small_rep.iterations_completed == 2
     print(f"\nper-iteration depth {d_iter}, budget 33 -> exactly 2 full iterations")
     announce("depth-budget consistency (2 full iterations, depth stable)")

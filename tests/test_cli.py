@@ -221,6 +221,33 @@ def test_env_and_config_values_obey_the_flag_types_and_choices(tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_bool_env_and_config_values_are_bool_words_or_errors(tmp_path, monkeypatch):
+    args = cli.build_parser().parse_args(["train"])
+    for word, want in [("1", True), ("Yes", True), ("on", True), ("0", False),
+                       ("false", False), (" OFF ", False), ("no", False)]:
+        monkeypatch.setenv("HENN_TRACE", word)
+        assert cli._resolve(args, cli.TRAIN_DEFAULTS)["trace"] is want, word
+    out = tmp_path / "run"
+    for word in ("ture", "2", ""):
+        monkeypatch.setenv("HENN_TRACE", word)
+        assert run(["train", "--iters", "1", "--out", str(out)]) == cli.EXIT_CONFIG, word
+    monkeypatch.delenv("HENN_TRACE")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"yes_huge": "maybe"}))
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_compare_of_diverging_runs_keeps_both_halts_and_exits_non_finite(tmp_path):
+    out = tmp_path / "cmp"
+    code = run(["compare", "--lr", "50", "--iters", "6", "--hidden", "8", "--out", str(out)])
+    assert code == cli.EXIT_NON_FINITE
+    doc = json.loads((out / "compare.json").read_text(), parse_constant=_refuse_constant)
+    assert [h["reason"] for h in doc["halted"]] == ["non_finite", "non_finite"]
+    assert [h["iterations_completed"] for h in doc["halted"]] == [3, 3]
+    assert doc["pass"] is False
+
+
 PARENT_OPTIONS = {
     "train": ["--backend", "--config", "--data-dir", "--dataset", "--hidden", "--iters",
               "--l2", "--logn", "--logp", "--logq", "--loss", "--lr", "--out", "--scheme",

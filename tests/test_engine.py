@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
-from henn.engine import (EngineConfig, FloodVector, OpTrace, SlotEngine, UniformVector,
-                         depth_report)
+from henn.engine import (EngineConfig, FloodVector, OpTrace, ProductVector, SlotEngine,
+                         UniformVector, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits
@@ -422,6 +422,52 @@ def test_uniform_ops_match_dense(case, k, data):
         assert bits(got.slots) == bits(ref), name
 
 
+@st.composite
+def uniform_and_sparse(draw):
+    """(leveled engine, uniform t, sparse x, dense d).  x is +0.0 except on a
+    few slots, which hold -0.0, NaN, infinities, subnormals or finite values;
+    sometimes more than an eighth of the slots are set, where mult takes the
+    dense kernel.  t may be any float, ties and non-finite values included.
+    x and d are built unquantized, so subnormals reach the kernels."""
+    size = draw(st.sampled_from([8, 16, 32, 64]))
+    eng = lazy_engine("leveled", size)
+    tie = st.integers(-2**20, 2**20).map(lambda k: (k + 0.5) * 2.0**-30)
+    t = draw(st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0) | tie)
+    x = np.zeros(size)
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=size // 4)):
+        x[i] = draw(st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0) | tie)
+    d = draw(arrays(np.float64, size, elements=st.sampled_from([0.0, -0.0]) | ELEMENTS["any"]))
+    level = eng.config.level_budget
+    return eng, eng._uniform(t, size, level), eng._new(x, level), eng._new(d, level)
+
+
+@fp_warnings_ignored
+@settings(max_examples=400, deadline=None)
+@given(uniform_and_sparse())
+def test_product_of_uniform_and_sparse_matches_dense(case):
+    """mult(uniform t, x) rescales only the slots of x that are not +0.0, and
+    add/sub consume an unread product without building it; every result, and
+    the product read afterwards, is the dense composition."""
+    eng, t, x, d = case
+    size = len(x)
+    want = ref_mul(eng, np.full(size, t.value), x.slots)
+    sparse = np.count_nonzero(x.slots.view(np.int64)) <= size // 8
+    assert (type(eng.mult(t, x)) is ProductVector) == sparse
+    cases = [
+        (lambda p: p, lambda w: w),
+        (lambda p: eng.add(d, p), lambda w: d.slots + w),
+        (lambda p: eng.sub(d, p), lambda w: d.slots - w),
+        (lambda p: eng.add(p, d), lambda w: w + d.slots),
+        (lambda p: eng.sub(p, d), lambda w: w - d.slots),
+        (lambda p: eng.add(p, p), lambda w: w + w),
+        (lambda p: eng.sub(p, eng.mult(t, x)), lambda w: w - w),
+    ]
+    for op, ref in cases:
+        p = eng.mult(t, x)
+        assert bits(op(p).slots) == bits(ref(want))
+        assert bits(p.slots) == bits(want)
+
+
 @pytest.mark.parametrize("backend", ["exact", "leveled"])
 def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
     eng = lazy_engine(backend, 4096)
@@ -440,7 +486,9 @@ def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
 def test_lazy_fast_paths_build_no_slots(backend):
     """The lazy paths that training and dvr_matmul take build no slots: two
     uniform operands of add, sub and mult give a uniform vector, mult reads a
-    uniform left operand as one value, and add writes into an unread flood."""
+    uniform left operand as one value, add writes into an unread flood, and
+    on the leveled backend a uniform times a sparse row is a product that add
+    consumes unread."""
     eng = lazy_engine(backend, 4096)
     a = eng.encrypt(np.linspace(-1.0, 1.0, 4096))
     d = eng.encrypt(np.linspace(2.0, 3.0, 4096))
@@ -453,6 +501,11 @@ def test_lazy_fast_paths_build_no_slots(backend):
     f = eng.cmult(a, one_hot_mask(eng, 5))
     eng.add(d, f)
     assert type(f) is FloodVector and f._cache is None
+    row = eng.encrypt(np.linspace(1.0, 2.0, 5))      # five slots of 4096
+    p = eng.mult(u, row)
+    assert (type(p) is ProductVector) == (backend == "leveled")
+    eng.add(d, p)
+    assert getattr(p, "_cache", None) is None and u._cache is None
 
 
 def test_lazy_forms_keep_the_trace():

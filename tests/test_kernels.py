@@ -110,6 +110,32 @@ def test_rescale_kernels_on_scalars(x, v, scale):
     assert same_bits(_kernels.mult_rescale(xs[0], vs[0], scale), ref_mult_rescale(xs, vs, scale)[0])
 
 
+@st.composite
+def float_and_scale(draw):
+    """A Python float and a scale 2**p; a third of the floats are exact ties
+    (k + 1/2) * 2**-p, which rint must round to the even neighbour."""
+    p = draw(st.integers(1, 64))
+    tie = st.integers(-2**45, 2**45).map(lambda k: (k + 0.5) * 2.0**-p)
+    return draw(st.sampled_from(SPECIAL) | st.floats() | tie), float(2**p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(float_and_scale(), st.sampled_from(SPECIAL) | st.floats() | st.just(1.0))
+@example((-0.0, 2.0), 1.0)
+@example((-0.25, 2.0), 1.0)                 # rint(-0.5) == -0.0
+@example((2.5 * 2.0**-30, SCALE), 1.0)      # tie: rint(2.5) == 2.0
+@example((-3.5 * 2.0**-30, SCALE), 1.0)     # tie: rint(-3.5) == -4.0
+@example((5e-324, 2.0**64), -1.0)
+@example((float("inf"), 2.0), float("nan"))
+def test_scalar_kernels_match_the_array_kernels(case, y):
+    """The Python-float kernels give the bits of the numpy ones, NaN included."""
+    (x, scale) = case
+    assert same_bits(_kernels.rint(x), np.rint(x))
+    assert same_bits(_kernels.quantize_float(x, scale), _kernels.quantize(x, scale))
+    assert same_bits(_kernels.mult_rescale_float(x, y, scale), _kernels.mult_rescale(x, y, scale))
+    assert type(_kernels.mult_rescale_float(x, y, scale)) is float
+
+
 def test_quantize_integer_oracle():
     # round-half-even of v * 2^30, computed with Python arithmetic
     vals = np.array([0.1, -0.5, 0.25, 1.0 + 2**-31, -0.7, 3.14159])

@@ -129,7 +129,7 @@ def float_and_scale(draw):
 @example((float("inf"), 2.0), float("nan"))
 def test_scalar_kernels_match_the_array_kernels(case, y):
     """The Python-float kernels give the bits of the numpy ones, NaN included."""
-    (x, scale) = case
+    x, scale = case
     assert same_bits(_kernels.rint(x), np.rint(x))
     assert same_bits(_kernels.quantize_float(x, scale), _kernels.quantize(x, scale))
     assert same_bits(_kernels.mult_rescale_float(x, y, scale), _kernels.mult_rescale(x, y, scale))

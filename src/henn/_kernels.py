@@ -13,8 +13,9 @@ both are the correctly rounded value of the same real number x * 2**-logp,
 subnormal results included, and both keep signed zeros, infinities and NaN.
 The multiplication is several times cheaper than the division.
 
-``mult_rescale`` also takes a scalar operand (a uniform vector's value) and
-broadcasts it against the array one.
+``mult_rescale`` also takes one scalar operand (a uniform vector's value,
+or a structured mask's quantized value), which numpy broadcasts against the
+other operand, an array.
 
 Scalar kernels.  ``rint``, ``quantize_float`` and ``mult_rescale_float``
 take and return Python floats; the engine uses them where an op computes one
@@ -65,8 +66,9 @@ def quantize(a, scale):
 
 
 def mult_rescale(a, b, scale):
-    """rint((a * b) * scale) / scale; either operand may be the scalar."""
-    out = np.asarray(np.multiply(a, b))
+    """rint((a * b) * scale) / scale; a scalar operand is broadcast against
+    the other, an array."""
+    out = np.multiply(a, b)
     out *= scale
     np.rint(out, out=out)
     out *= 1.0 / scale

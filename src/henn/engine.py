@@ -35,9 +35,17 @@ hold what defines their slots instead of the slots themselves:
   eighth of the slots (-0.0, NaN and the infinities belong to the support).
   Outside the support every slot is t * +0.0: a signed zero for finite t
   and NaN otherwise, both of which the scale, ``rint`` and unscale passes
-  return unchanged, so only the support is rescaled.  The support is found once per x and
-  cached on it.  This is the grad-W pattern ``t * x_rows[i]``: an input row
-  has at most 1 + d slots that are not +0.0.
+  return unchanged, so only the support is rescaled.  The support is found
+  once per x and cached on it.  This is the gradient pattern
+  ``t * x_rows[i]`` (and ``t * z_rows[i]``).  Such a row is cut out by a
+  prefix-mask ``cmult``, which leaves ``x * 0.0`` on every other slot: +0.0
+  where the matrix entry is non-negative, -0.0 where it is negative.  So the
+  support is the row's 1 + d slots plus one slot per negative entry in the
+  rest of the matrix.  With non-negative (minmax-scaled) inputs, as in the
+  iris workloads, that is 1 + d; with zscore scaling (boston's default) it
+  can pass the cut-off, and the product takes the dense kernel.  The
+  cut-off is the measured crossover of the two paths (see
+  ``BENCH_scalar_kernels.json``, section ``product_support``).
 
 Only the operand forms that training and ``dvr_matmul`` produce have lazy
 or scalar paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of
@@ -244,13 +252,16 @@ def _all_finite(v: SlotVector) -> bool:
 def _support(v: SlotVector):
     """The indices of the slots of v that are not +0.0 (-0.0, NaN and the
     infinities count: their bit patterns are not all zero), or None when
-    they are more than an eighth of the slots, where the dense kernel is
-    cheaper; cached on v."""
+    they are more than an eighth of the slots; cached on v.  Past an eighth,
+    a product and the sum that consumes it measured slower than the dense
+    kernel at 4096 slots, and a product that is read slower at 32768."""
     support = getattr(v, "_support", False)
     if support is False:
-        support = np.flatnonzero(v.slots.view(np.int64))
-        if support.shape[0] > len(v) // 8:
+        set_bits = v.slots.view(np.int64) != 0
+        if np.count_nonzero(set_bits) > len(v) // 8:
             support = None
+        else:
+            support = np.flatnonzero(set_bits)
         v._support = support
     return support
 

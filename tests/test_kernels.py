@@ -102,12 +102,14 @@ def test_rescale_kernels_match_division(pair, scale):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(SPECIAL) | st.floats(), st.sampled_from(SPECIAL) | st.floats(), SCALES)
-def test_rescale_kernels_on_scalars(x, v, scale):
-    """A structured mask's value and a one-hot slot go through the kernels as scalars."""
-    xs, vs = np.array([x]), np.array([v])
-    assert same_bits(_kernels.quantize(xs[0], scale), ref_quantize(xs, scale)[0])
-    assert same_bits(_kernels.mult_rescale(xs[0], vs[0], scale), ref_mult_rescale(xs, vs, scale)[0])
+@given(st.sampled_from(SPECIAL) | st.floats(), vector_pair(), SCALES)
+def test_rescale_kernels_on_scalars(x, pair, scale):
+    """A uniform vector's value, or a structured mask's quantized value,
+    meets an array in mult_rescale as a scalar, broadcast against it."""
+    v = pair[0]
+    xs = np.full(v.shape, x)
+    assert same_bits(_kernels.mult_rescale(x, v, scale), ref_mult_rescale(xs, v, scale))
+    assert same_bits(_kernels.mult_rescale(v, x, scale), ref_mult_rescale(v, xs, scale))
 
 
 @st.composite
@@ -130,9 +132,11 @@ def float_and_scale(draw):
 def test_scalar_kernels_match_the_array_kernels(case, y):
     """The Python-float kernels give the bits of the numpy ones, NaN included."""
     x, scale = case
+    xs, ys = np.array([x]), np.array([y])
     assert same_bits(_kernels.rint(x), np.rint(x))
-    assert same_bits(_kernels.quantize_float(x, scale), _kernels.quantize(x, scale))
-    assert same_bits(_kernels.mult_rescale_float(x, y, scale), _kernels.mult_rescale(x, y, scale))
+    assert same_bits(_kernels.quantize_float(x, scale), _kernels.quantize(xs, scale)[0])
+    assert same_bits(_kernels.mult_rescale_float(x, y, scale),
+                     _kernels.mult_rescale(xs, ys, scale)[0])
     assert type(_kernels.mult_rescale_float(x, y, scale)) is float
 
 

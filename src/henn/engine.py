@@ -42,10 +42,11 @@ hold what defines their slots instead of the slots themselves:
   where the matrix entry is non-negative, -0.0 where it is negative.  So the
   support is the row's 1 + d slots plus one slot per negative entry in the
   rest of the matrix.  With non-negative (minmax-scaled) inputs, as in the
-  iris workloads, that is 1 + d; with zscore scaling (boston's default) it
-  can pass the cut-off, and the product takes the dense kernel.  The
-  cut-off is the measured crossover of the two paths (see
-  ``BENCH_scalar_kernels.json``, section ``product_support``).
+  iris workloads, that is 1 + d.  With zscore scaling (boston's default) it
+  grows by the matrix's negative entries, and where those fill more than
+  an eighth of the slots the product takes the dense kernel.  The cut-off
+  is the measured crossover of the two paths (``BENCH_scalar_kernels.json``,
+  section ``product_support``).
 
 Only the operand forms that training and ``dvr_matmul`` produce have lazy
 or scalar paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of

@@ -48,13 +48,19 @@ def rotate(a, k):
     return out
 
 
-def rotate_add(a, k):
-    """a + rotate(a, k), the two wrap-around slices added straight into out."""
+def rotate_combine(ufunc, a, b, k):
+    """ufunc(a, rotate(b, k)), the two wrap-around slices of b combined
+    straight into out."""
     n = a.shape[0]
     out = np.empty_like(a)
-    np.add(a[: n - k], a[k:], out=out[: n - k])
-    np.add(a[n - k :], a[:k], out=out[n - k :])
+    ufunc(a[: n - k], b[k:], out=out[: n - k])
+    ufunc(a[n - k :], b[:k], out=out[n - k :])
     return out
+
+
+def rotate_add(a, k):
+    """a + rotate(a, k)."""
+    return rotate_combine(np.add, a, a, k)
 
 
 def quantize(a, scale):

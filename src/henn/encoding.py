@@ -17,7 +17,7 @@ on the leveled backend.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class EncodedMatrix:
     team_id: int | None = None
 
     def with_parts(self, parts) -> "EncodedMatrix":
-        return replace(self, parts=tuple(parts))
+        return EncodedMatrix(self.rows, self.cols, self.layout, tuple(parts), self.team_id)
 
 
 def encode_matrix(engine: SlotEngine, M, layout: Layout, repeat: int | None = None) -> EncodedMatrix:

@@ -18,7 +18,7 @@ mask builders in ``encoding`` make structured masks.  On the leveled backend
 mask is one scalar; it then touches only the picked slots beyond the
 ``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
 
-Besides the dense form, a result can take one of three lazy forms, which
+Besides the dense form, a result can take one of four lazy forms, which
 hold what defines their slots instead of the slots themselves:
 
 * flood (``FloodVector``): ``cmult`` of a vector by a one-hot structured
@@ -30,6 +30,18 @@ hold what defines their slots instead of the slots themselves:
   exactly one copy of v and of signed zeros (``x * 0.0`` of finite x), and
   v + (+-0.0) == v, so every slot is exactly v.  Otherwise it stays a flood.
 * uniform (``UniformVector``): every slot holds one value.
+* rotation (``RotatedVector``): what ``rotate(src, k)`` returns, the source
+  and the shift.  This is the placement pattern of the forward matmuls
+  (``linalg``): ``acc = add(acc, cmult(rotate(sums, k), one-hot mask))``, n
+  rotations of one ``sums`` vector per result column.  Two consumers read
+  an unread rotation without building it: a one-hot ``cmult`` picks slot
+  ``(index + k) % size`` of the source, and ``add``/``sub`` with the
+  resulting unread window-1 flood as the right operand make one pass,
+  ``ufunc(a, rotate(zero, k))`` through the two wrap-around slices, then
+  ``ufunc`` of ``a`` and the flood's value at its slot.  ``zero`` is the
+  source's zero pattern ``src.slots * 0.0``, computed once per source and
+  shared by its n placements; rotating it is bit for bit ``rotate(src, k) *
+  0.0``, since the multiplication is slotwise.
 * product (``ProductVector``): on the leveled backend, ``mult(t, x)`` of a
   uniform t by an x whose slots are +0.0 outside a support of at most an
   eighth of the slots (-0.0, NaN and the infinities belong to the support).
@@ -56,21 +68,23 @@ scalar kernels ``_kernels.mult_rescale_float``/``quantize_float``), the same
 IEEE operations the dense form applies to each slot; ``mult`` of a uniform
 left operand by a dense one, which gives a product as above or, for a
 wide support, enters the value as a scalar that numpy broadcasts to the same
-slotwise arithmetic; and ``add``/``sub`` with an
-unread flood or product as the right operand, which writes into the flood's
-fresh build or applies the product without building it.  Every other
-combination reads ``slots`` and takes the dense path.
+slotwise arithmetic; ``add``/``sub`` with an unread product as the right
+operand, which applies the product without building it; and the two
+consumers of an unread rotation above, whose flood is the only one that
+reaches an ``add`` unread.  Every other combination reads ``slots`` and takes
+the dense path.
 
 Reading ``slots`` of a lazy vector replays the dense composition (``np.full``
 for a uniform one; ``src.slots * 0.0``, the picked slot and the recorded
-``rotate_add`` doublings for a flood; ``np.full`` of the signed zero with the
+``rotate_add`` doublings for a flood; the rotation kernel for a rotation,
+which then drops its source; ``np.full`` of the signed zero with the
 rescaled support for a product), caches the read-only result on the vector
 and returns it, so both paths give the same bits.  That cache, and the
-finiteness and support that ``_all_finite`` and ``_support`` cache, are the
-only state written after construction; filling each is idempotent, so two
-threads that race on it both see the same values.  Every op is still one engine
-call with its own uid, level and trace records, whatever the form of its
-operands.
+finiteness, support and zero pattern that ``_all_finite``, ``_support`` and
+``_zero`` cache, are the only state written after construction; filling
+each is idempotent, so two threads that race on it both see the same
+values.  Every op is still one engine call with its own uid, level and
+trace records, whatever the form of its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -133,9 +147,9 @@ class SlotVector:
     build ``slots`` on first read.
     """
 
-    # _finite, _support: see _all_finite and _support; cached on first need
-    # (unset until then)
-    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite", "_support")
+    # _finite, _support, _zero: see _all_finite, _support and _zero; cached
+    # on first need (unset until then)
+    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite", "_support", "_zero")
 
     def __init__(self, slots: np.ndarray, level, scale_bits, uid: int):
         slots.flags.writeable = False
@@ -217,6 +231,35 @@ class FloodVector(_LazyVector):
         return out
 
 
+class RotatedVector(_LazyVector):
+    """``rotate(src, k)``, k already reduced modulo the slot count.  Building
+    the slots drops ``src``, so ``src is None`` once they are built."""
+
+    __slots__ = ("src", "k")
+
+    def __init__(self, src: SlotVector, k: int, level, scale_bits, uid):
+        self.size = len(src)
+        self.src = src
+        self.k = k
+        self.level = level
+        self.scale_bits = scale_bits
+        self.uid = uid
+        self._cache = None
+
+    @property
+    def slots(self) -> np.ndarray:
+        # src is read once and cleared only after _cache is set, so a reader
+        # that still sees it may build from it and one that does not finds
+        # the cache filled.
+        src = self.src
+        if src is not None:
+            out = _kernels.rotate(src.slots, self.k)
+            out.flags.writeable = False
+            self._cache = out
+            self.src = None
+        return self._cache
+
+
 class ProductVector(_LazyVector):
     """``mult(t, x)`` on the leveled backend for a uniform t and an x that is
     +0.0 outside the indices ``support``.  Every other slot holds ``zero`` =
@@ -248,6 +291,17 @@ def _all_finite(v: SlotVector) -> bool:
     if finite is None:
         finite = v._finite = bool(np.isfinite(v.slots).all())
     return finite
+
+
+def _zero(v: SlotVector) -> np.ndarray:
+    """``v.slots * 0.0``: each slot's signed zero, NaN where it is not
+    finite; cached on v."""
+    zero = getattr(v, "_zero", None)
+    if zero is None:
+        zero = v.slots * 0.0
+        zero.flags.writeable = False
+        v._zero = zero
+    return zero
 
 
 def _support(v: SlotVector):
@@ -420,14 +474,14 @@ class SlotEngine:
         """Pack values into a fresh vector, zero-padded on the right.
 
         Leveled backend: slots are quantized to the 2**logp fixed-point grid
-        and the vector starts at the full level budget.
+        and the vector starts at the full level budget.  Only the values are
+        quantized; the +0.0 padding is its own quantization.
         """
-        out = self._pad(values)
         if self._leveled:
-            out = _kernels.quantize(out, self._scale)
-            sv = self._new(out, self.config.level_budget)
+            values = _kernels.quantize(np.asarray(values, dtype=np.float64).ravel(), self._scale)
+            sv = self._new(self._pad(values), self.config.level_budget)
         else:
-            sv = self._new(out, None)
+            sv = self._new(self._pad(values), None)
         self._record("encrypt", (), sv, 0)
         return sv
 
@@ -474,10 +528,11 @@ class SlotEngine:
         """The body of add and sub: ufunc (np.add or np.subtract) slotwise.
 
         Two uniform operands give one float through scalar_op (operator.add
-        or operator.sub), the same IEEE operation.  An unread flood as the
-        right operand is built fresh and the result written into it, instead
-        of into a new full-width buffer; numpy computes an in-place ufunc slot
-        by slot, so the bits are those of a new output.  An unread product as
+        or operator.sub), the same IEEE operation.  An unread window-1 flood
+        over an unread rotation, as the right operand, is never built: ufunc
+        meets the rotated zero pattern of the rotation's source (``_zero``)
+        in one pass through the two wrap-around slices, and the flood's slot
+        then gets the result for its value.  An unread product as
         the right operand is never built: its ``zero`` enters every slot in
         one pass, and the slots of its support are then overwritten with the
         results for its rescaled products.
@@ -486,9 +541,12 @@ class SlotEngine:
         level = min(a.level, b.level) if self._leveled else None
         if type(a) is UniformVector and type(b) is UniformVector:
             sv = self._uniform(scalar_op(a.value, b.value), a.size, level)
-        elif type(b) is FloodVector and b._cache is None:
-            out = b._build()
-            sv = self._new(ufunc(a.slots, out, out=out), level)
+        elif (type(b) is FloodVector and b._cache is None and b.window == 1
+              and type(rot := b.src) is RotatedVector and (src := rot.src) is not None):
+            x = a.slots
+            out = _kernels.rotate_combine(ufunc, x, _zero(src), rot.k)
+            out[b.index] = scalar_op(float(x[b.index]), b.value)
+            sv = self._new(out, level)
         elif type(b) is ProductVector and b._cache is None:
             x = a.slots
             out = ufunc(x, b.zero)
@@ -548,7 +606,8 @@ class SlotEngine:
         NaN included), and the (rescaled) product at its index.  On the
         leveled backend the mask is quantized first: the dense slots, or the
         structured mask's one value.  A one-hot mask (int index) gives a
-        flood of window 1 (see the module docstring).
+        flood of window 1 (see the module docstring); of an unread rotation
+        it reads the picked slot from the rotation's source, unbuilt.
         """
         self._check_pair(a, m)
         if self._leveled:
@@ -556,8 +615,8 @@ class SlotEngine:
             level = a.level - 1
         else:
             level = None
-        x = a.slots
         if m.index is None:
+            x = a.slots
             if self._leveled:
                 mq = _kernels.quantize(m.slots, self._scale)
                 out = _kernels.mult_rescale(x, mq, self._scale)
@@ -565,7 +624,10 @@ class SlotEngine:
                 out = x * m.slots
             sv = self._new(out, level)
         elif type(m.index) is int:
-            picked = float(x[m.index])
+            if type(a) is RotatedVector and (src := a.src) is not None:
+                picked = float(src.slots[(m.index + a.k) % a.size])
+            else:
+                picked = float(a.slots[m.index])
             if self._leveled:
                 mq = _kernels.quantize_float(m.value, self._scale)
                 picked = _kernels.mult_rescale_float(picked, mq, self._scale)
@@ -576,6 +638,7 @@ class SlotEngine:
             # The picked product is formed before the full-width output is
             # allocated: for the same work, the other order measured about
             # 10 % slower on the paper-scale step.
+            x = a.slots
             picked = x[m.index]
             if self._leveled:
                 mq = _kernels.quantize_float(m.value, self._scale)
@@ -589,8 +652,12 @@ class SlotEngine:
         return sv
 
     def rotate(self, a: SlotVector, k: int) -> SlotVector:
-        """Left cyclic rotation by k slots (negative k rotates right). Free."""
-        sv = self._new(_kernels.rotate(a.slots, k % len(a)), a.level)
+        """Left cyclic rotation by k slots (negative k rotates right). Free.
+
+        The result is a lazy ``RotatedVector``; reading its slots runs the
+        rotation kernel."""
+        bits = self.config.logp if self._leveled else None
+        sv = RotatedVector(a, k % len(a), a.level, bits, next(self._uid))
         self._record("rotate", (a,), sv, 0)
         return sv
 

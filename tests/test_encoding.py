@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from henn.encoding import (
+    EncodedMatrix,
     Layout,
     complete_column_shift,
     complete_row_shift,
@@ -266,6 +267,9 @@ def test_metadata_preserved():
         assert len(out.parts) == 1
     kept = keep_only(eng, em, 0, 0)
     assert (kept.rows, kept.cols, kept.layout) == (2, 3, Layout.FULL_MATRIX)
+    tile = EncodedMatrix(2, 3, Layout.FULL_MATRIX, em.parts, team_id=5)
+    for out in (keep_only(eng, tile, 1, 2), complete_row_shift(eng, tile)):
+        assert (out.rows, out.cols, out.layout, out.team_id) == (2, 3, Layout.FULL_MATRIX, 5)
 
 
 def test_exact_fill_shifts_reduce_to_flat_rotations():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from henn import _kernels
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
-from henn.engine import (EngineConfig, FloodVector, OpTrace, ProductVector, SlotEngine,
-                         UniformVector, depth_report)
+from henn.engine import (EngineConfig, FloodVector, OpTrace, ProductVector, RotatedVector,
+                         SlotEngine, UniformVector, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits
@@ -45,6 +46,28 @@ def test_leveled_encrypt_quantizes():
     w = eng.encrypt([0.5, -0.5])
     dec = eng.decrypt(w)
     assert abs(dec[0] - 0.5) <= 2**-30 and abs(dec[1] + 0.5) <= 2**-30
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")       # overflow of x * 2**30
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encrypt_quantizes_then_pads_as_padding_then_quantizing(data):
+    """The leveled encrypt quantizes only the values and pads with +0.0; that
+    is bit for bit the quantization of the padded vector, because +0.0
+    quantizes to +0.0.  Ties, signed zeros, subnormals, infinities and NaN."""
+    size = data.draw(st.sampled_from([1, 2, 8, 64]))
+    eng = SlotEngine(EngineConfig(slots=size, logQ=990, logp=30))
+    tie = st.integers(-2**20, 2**20).map(lambda k: (k + 0.5) * 2.0**-30)
+    vals = data.draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-31, 1e300,
+                                               float("inf"), float("-inf"), float("nan")])
+                              | tie | st.floats(allow_nan=True, allow_infinity=True),
+                              max_size=size))
+    got = eng.encrypt(vals)
+    want = _kernels.quantize(eng._pad(vals), 2.0**30)
+    assert bits(got.slots) == bits(want)
+    assert got.level == 33
+    with pytest.raises(InputTooLong):
+        eng.encrypt(vals + [0.0] * (size + 1 - len(vals)))
 
 
 def test_add_mult_cmult_examples(exact8):
@@ -342,8 +365,8 @@ def test_flood_rotate_add_off_window_matches_dense(src, data):
 @settings(max_examples=200, deadline=None)
 @given(source(), st.data())
 def test_flood_operands_of_add_and_sub_match_dense(src, data):
-    """add and sub write into the fresh build of an unread flood operand;
-    the result, and the flood read afterwards, are the dense ones."""
+    """add and sub with a flood operand, read before or not; the result, and
+    the flood read afterwards, are the dense ones."""
     eng, a, idx = src
     size = len(a)
     doublings = data.draw(st.integers(0, size.bit_length() - 1))
@@ -468,6 +491,80 @@ def test_product_of_uniform_and_sparse_matches_dense(case):
         assert bits(p.slots) == bits(want)
 
 
+@st.composite
+def rotation(draw):
+    """(engine, source vector, a shift k: 0, 1, S - 1 or any, negative too)."""
+    eng, a, idx = draw(source())
+    size = len(a)
+    k = draw(st.sampled_from([0, 1, size - 1, -1]) | st.integers(-3 * size, 3 * size))
+    return eng, a, k
+
+
+@fp_warnings_ignored
+@settings(max_examples=200, deadline=None)
+@given(rotation())
+def test_rotation_matches_roll(case):
+    """A rotation's slots, read once or twice, and a rotation of a rotation."""
+    eng, a, k = case
+    r = eng.rotate(a, k)
+    assert type(r) is RotatedVector and r.level == a.level and len(r) == len(a)
+    want = np.roll(a.slots, -k)
+    assert bits(r.slots) == bits(want) and r.src is None
+    assert bits(r.slots) == bits(want)
+    assert bits(eng.rotate(eng.rotate(a, k), -k).slots) == bits(a.slots)
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(rotation(), st.data())
+def test_one_hot_cmult_of_rotation_matches_dense(case, data):
+    """cmult of an unread rotation by a one-hot mask (negative index too)
+    picks from the source; the flood and the rotation, read afterwards, are
+    the dense ones."""
+    eng, a, k = case
+    size = len(a)
+    idx = data.draw(st.integers(-size, size - 1))
+    rolled = np.roll(a.slots, -k)
+    r = eng.rotate(a, k)
+    if data.draw(st.booleans()):
+        r.slots                                         # read before the cmult
+    f = eng.cmult(r, one_hot_mask(eng, idx))
+    want = ref_keep(eng, rolled, idx)
+    assert bits(f.slots) == bits(want)
+    assert bits(r.slots) == bits(rolled)
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(rotation(), st.data())
+def test_flood_of_rotation_in_add_and_sub_matches_dense(case, data):
+    """add and sub meet an unread window-1 flood of an unread rotation in one
+    pass; the rotation is read before the cmult, between it and the op,
+    after the op or never, and the flood is read after the op or never."""
+    eng, a, k = case
+    size = len(a)
+    idx = data.draw(st.integers(-size, size - 1))
+    d = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS["any"])))
+    x = d.slots
+    rolled = np.roll(a.slots, -k)
+    want = ref_keep(eng, rolled, idx)
+    read_rot = data.draw(st.sampled_from(["before", "between", "after", "never"]))
+    read_flood = data.draw(st.booleans())
+    for op, ref in ((eng.add, x + want), (eng.sub, x - want),
+                    (lambda d, f: eng.add(f, f), want + want)):
+        r = eng.rotate(a, k)
+        if read_rot == "before":
+            r.slots
+        f = eng.cmult(r, one_hot_mask(eng, idx))
+        if read_rot == "between":
+            r.slots
+        assert bits(op(d, f).slots) == bits(ref)
+        if read_rot == "after":
+            assert bits(r.slots) == bits(rolled)
+        if read_flood:
+            assert bits(f.slots) == bits(want)
+
+
 @pytest.mark.parametrize("backend", ["exact", "leveled"])
 def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
     eng = lazy_engine(backend, 4096)
@@ -486,9 +583,10 @@ def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
 def test_lazy_fast_paths_build_no_slots(backend):
     """The lazy paths that training and dvr_matmul take build no slots: two
     uniform operands of add, sub and mult give a uniform vector, mult reads a
-    uniform left operand as one value, add writes into an unread flood, and
-    on the leveled backend a uniform times a sparse row is a product that add
-    consumes unread."""
+    uniform left operand as one value, on the leveled backend a uniform
+    times a sparse row is a product that add consumes unread, and a one-hot
+    cmult of a rotation, added unread, builds neither the rotation nor the
+    flood but one zero pattern of the source."""
     eng = lazy_engine(backend, 4096)
     a = eng.encrypt(np.linspace(-1.0, 1.0, 4096))
     d = eng.encrypt(np.linspace(2.0, 3.0, 4096))
@@ -498,14 +596,24 @@ def test_lazy_fast_paths_build_no_slots(backend):
         assert type(r) is UniformVector and r._cache is None
     eng.mult(u, d)
     assert u._cache is None and w._cache is None
-    f = eng.cmult(a, one_hot_mask(eng, 5))
-    eng.add(d, f)
-    assert type(f) is FloodVector and f._cache is None
     row = eng.encrypt(np.linspace(1.0, 2.0, 5))      # five slots of 4096
     p = eng.mult(u, row)
     assert (type(p) is ProductVector) == (backend == "leveled")
     eng.add(d, p)
     assert getattr(p, "_cache", None) is None and u._cache is None
+    # the placement loop: one-hot cmult of a rotation, added unread
+    sums = eng.cmult(a, segment_mask(eng, 0, 64))
+    acc = d
+    for k in (3, 4095, 0):
+        r = eng.rotate(sums, k)
+        f = eng.cmult(r, one_hot_mask(eng, 7))
+        acc = eng.add(acc, f)
+        assert type(f) is FloodVector and f._cache is None
+        assert r._cache is None and r.src is sums
+        if k == 3:
+            zero = sums._zero
+    assert sums._zero is zero                     # one zero pattern per source
+    assert getattr(r, "_zero", None) is None
 
 
 def test_lazy_forms_keep_the_trace():

@@ -41,7 +41,12 @@ hold what defines their slots instead of the slots themselves:
   ``ufunc`` of ``a`` and the flood's value at its slot.  ``zero`` is the
   source's zero pattern ``src.slots * 0.0``, computed once per source and
   shared by its n placements; rotating it is bit for bit ``rotate(src, k) *
-  0.0``, since the multiplication is slotwise.
+  0.0``, since the multiplication is slotwise.  A third consumer, a
+  ``cmult`` by a slice mask, gives a product (below) when the slice holds
+  at most an eighth of the slots and the zero pattern is +0.0 in every slot
+  (every source slot finite with a clear sign bit, found once per source
+  and cached): the row cuts ``extract_row`` and ``z_rows`` and the segments
+  of the hidden re-layout, all from non-negative sources in training.
 * product (``ProductVector``): on the leveled backend, ``mult(t, x)`` of a
   uniform t by an x whose slots are +0.0 outside a support of at most an
   eighth of the slots (-0.0, NaN and the infinities belong to the support).
@@ -58,7 +63,10 @@ hold what defines their slots instead of the slots themselves:
   grows by the matrix's negative entries, and where those fill more than
   an eighth of the slots the product takes the dense kernel.  The cut-off
   is the measured crossover of the two paths (``BENCH_scalar_kernels.json``,
-  section ``product_support``).
+  section ``product_support``).  The slice ``cmult`` of a rotation above
+  is a product too, with the picked slots rescaled, +0.0 elsewhere and the
+  slice's indices as its support; ``mult`` of a uniform by a product whose
+  zero is +0.0 takes that support and the picked values unbuilt.
 
 Only the operand forms that training and ``dvr_matmul`` produce have lazy
 or scalar paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of
@@ -69,7 +77,7 @@ IEEE operations the dense form applies to each slot; ``mult`` of a uniform
 left operand by a dense one, which gives a product as above or, for a
 wide support, enters the value as a scalar that numpy broadcasts to the same
 slotwise arithmetic; ``add``/``sub`` with an unread product as the right
-operand, which applies the product without building it; and the two
+operand, which applies the product without building it; and the three
 consumers of an unread rotation above, whose flood is the only one that
 reaches an ``add`` unread.  Every other combination reads ``slots`` and takes
 the dense path.
@@ -147,9 +155,10 @@ class SlotVector:
     build ``slots`` on first read.
     """
 
-    # _finite, _support, _zero: see _all_finite, _support and _zero; cached
-    # on first need (unset until then)
-    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite", "_support", "_zero")
+    # _finite, _plus, _support, _zero: see _all_finite, _zero_is_plus,
+    # _support and _zero; cached on first need (unset until then)
+    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite", "_plus", "_support",
+                 "_zero")
 
     def __init__(self, slots: np.ndarray, level, scale_bits, uid: int):
         slots.flags.writeable = False
@@ -261,11 +270,12 @@ class RotatedVector(_LazyVector):
 
 
 class ProductVector(_LazyVector):
-    """``mult(t, x)`` on the leveled backend for a uniform t and an x that is
-    +0.0 outside the indices ``support``.  Every other slot holds ``zero`` =
-    t * +0.0, which the rescale passes leave as it is (a signed zero, or NaN
-    when t is not finite); ``picked`` holds the rescaled products on the
-    support."""
+    """A product that holds ``picked`` on the indices ``support`` and
+    ``zero`` on every other slot: ``mult(t, x)`` on the leveled backend for a
+    uniform t and an x that is +0.0 outside ``support`` (``zero`` = t * +0.0,
+    which the rescale passes leave as it is: a signed zero, or NaN when t is
+    not finite), or ``cmult`` of an unread rotation by a slice mask whose
+    rotated zero pattern is +0.0 (``zero`` = +0.0)."""
 
     __slots__ = ("zero", "support", "picked")
 
@@ -291,6 +301,16 @@ def _all_finite(v: SlotVector) -> bool:
     if finite is None:
         finite = v._finite = bool(np.isfinite(v.slots).all())
     return finite
+
+
+def _zero_is_plus(v: SlotVector) -> bool:
+    """Whether ``v.slots * 0.0`` is +0.0 in every slot: every slot is finite
+    with a clear sign bit (as a uint64, below the bits of +inf); cached on
+    v."""
+    plus = getattr(v, "_plus", None)
+    if plus is None:
+        plus = v._plus = bool((v.slots.view(np.uint64) < 0x7FF0000000000000).all())
+    return plus
 
 
 def _zero(v: SlotVector) -> np.ndarray:
@@ -319,6 +339,18 @@ def _support(v: SlotVector):
             support = np.flatnonzero(set_bits)
         v._support = support
     return support
+
+
+def _sparse(v: SlotVector):
+    """``(support, values)``: indices outside which v is +0.0 and v's slots on
+    them, or None (see ``_support``).  A product whose ``zero`` is +0.0 gives
+    its own support and values unbuilt; its support may also hold slots
+    whose value is +0.0, which a product by v maps as it maps the slots
+    outside."""
+    if type(v) is ProductVector and v.zero == 0.0 and math.copysign(1.0, v.zero) > 0:
+        return v.support, v.picked
+    support = _support(v)
+    return None if support is None else (support, v.slots[support])
 
 
 class PlainMask:
@@ -589,8 +621,9 @@ class SlotEngine:
             x = a.value if ua else a.slots
             if not self._leveled:
                 sv = self._new(x * b.slots, level)
-            elif ua and (support := _support(b)) is not None:
-                picked = _kernels.mult_rescale(x, b.slots[support], self._scale)
+            elif ua and (sparse := _sparse(b)) is not None:
+                support, values = sparse
+                picked = _kernels.mult_rescale(x, values, self._scale)
                 sv = ProductVector(len(b), x * 0.0, support, picked, level,
                                    self.config.logp, next(self._uid))
             else:
@@ -607,7 +640,9 @@ class SlotEngine:
         leveled backend the mask is quantized first: the dense slots, or the
         structured mask's one value.  A one-hot mask (int index) gives a
         flood of window 1 (see the module docstring); of an unread rotation
-        it reads the picked slot from the rotation's source, unbuilt.
+        it reads the picked slot from the rotation's source, unbuilt.  A
+        short slice mask of an unread rotation whose zero pattern is +0.0
+        gives a ``ProductVector`` read from the source the same way.
         """
         self._check_pair(a, m)
         if self._leveled:
@@ -634,6 +669,17 @@ class SlotEngine:
             else:
                 picked *= m.value
             sv = self._flood(a, m.index, picked, 1, len(a), level)
+        elif (type(a) is RotatedVector and (src := a.src) is not None
+              and len(range(*m.index.indices(a.size))) <= a.size // 8 and _zero_is_plus(src)):
+            support = np.arange(*m.index.indices(a.size))
+            picked = src.slots[(support + a.k) % a.size]
+            if self._leveled:
+                mq = _kernels.quantize_float(m.value, self._scale)
+                picked = _kernels.mult_rescale(picked, mq, self._scale)
+            else:
+                picked = picked * m.value
+            bits = self.config.logp if self._leveled else None
+            sv = ProductVector(a.size, 0.0, support, picked, level, bits, next(self._uid))
         else:
             # The picked product is formed before the full-width output is
             # allocated: for the same work, the other order measured about

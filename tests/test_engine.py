@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from henn import _kernels
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
-from henn.engine import (EngineConfig, FloodVector, OpTrace, ProductVector, RotatedVector,
-                         SlotEngine, UniformVector, depth_report)
+from henn.engine import (EngineConfig, FloodVector, OpTrace, PlainMask, ProductVector,
+                         RotatedVector, SlotEngine, UniformVector, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits
@@ -273,6 +273,7 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-31, 0.5, -
 ELEMENTS = {
     "finite": st.floats(-4.0, 4.0) | st.sampled_from([-0.0, 5e-324, -1e300, 1e300]),
     "negative": st.floats(-4.0, -1e-3),        # every x * 0.0 is -0.0
+    "non-negative": st.floats(0.0, 4.0) | st.sampled_from([5e-324, 1e300]),
     "any": st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True),
 }
 SIZES = st.sampled_from([1, 2, 4, 8, 16, 32, 64])
@@ -308,7 +309,7 @@ def source(draw):
     kind = draw(st.sampled_from(sorted(ELEMENTS)))
     vals = draw(arrays(np.float64, size, elements=ELEMENTS[kind]))
     idx = draw(st.integers(-size, size - 1))
-    if kind != "negative" and draw(st.booleans()):
+    if kind not in ("negative", "non-negative") and draw(st.booleans()):
         vals[idx] = draw(st.sampled_from(SPECIAL))      # the flooded value itself
     eng = lazy_engine(backend, size)
     return eng, eng.encrypt(vals), idx
@@ -482,6 +483,7 @@ def test_product_of_uniform_and_sparse_matches_dense(case):
         (lambda p: eng.sub(d, p), lambda w: d.slots - w),
         (lambda p: eng.add(p, d), lambda w: w + d.slots),
         (lambda p: eng.sub(p, d), lambda w: w - d.slots),
+        (lambda p: eng.mult(t, p), lambda w: ref_mul(eng, np.full(size, t.value), w)),
         (lambda p: eng.add(p, p), lambda w: w + w),
         (lambda p: eng.sub(p, eng.mult(t, x)), lambda w: w - w),
     ]
@@ -536,6 +538,50 @@ def test_one_hot_cmult_of_rotation_matches_dense(case, data):
 
 @fp_warnings_ignored
 @settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_slice_cmult_of_rotation_matches_dense(data):
+    """cmult of an unread rotation by a slice mask is a product, unbuilt,
+    when the slice holds at most an eighth of the slots and every source slot
+    times 0.0 is +0.0; the result, its uses in mult, add and sub, and the
+    result and the rotation read afterwards are the dense ones."""
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([8, 16, 32, 64]))
+    eng = lazy_engine(backend, size)
+    kind = data.draw(st.sampled_from(["non-negative", "non-negative", "finite", "any"]))
+    a = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS[kind])))
+    k = data.draw(st.sampled_from([0, 1, size - 1, -1]) | st.integers(-3 * size, 3 * size))
+    start = data.draw(st.integers(0, size))
+    stop = data.draw(st.integers(start, size) | st.integers(start, min(size, start + size // 8)))
+    step = data.draw(st.sampled_from([1, 1, 2, 3]))
+    value = data.draw(st.sampled_from([1.0, -0.0, 2.5, -3.0, 2.0**-31]))
+    mask = PlainMask.structured(size, slice(start, stop, step), value)
+    rolled = np.roll(a.slots, -k)
+    vq = np.rint(value * SCALE) / SCALE if eng.config.backend == "leveled" else value
+    want = rolled * 0.0
+    want[start:stop:step] = ref_mul(eng, rolled[start:stop:step], vq)
+    t = data.draw(st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0))
+    d = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS["any"])))
+    u = eng._uniform(t, size, eng.config.level_budget if eng.config.backend == "leveled" else None)
+    cases = [
+        (lambda p: p, lambda w: w),
+        (lambda p: eng.mult(u, p), lambda w: ref_mul(eng, np.full(size, t), w)),
+        (lambda p: eng.add(d, p), lambda w: d.slots + w),
+        (lambda p: eng.sub(d, p), lambda w: d.slots - w),
+        (lambda p: eng.add(eng.mult(u, p), d), lambda w: ref_mul(eng, np.full(size, t), w) + d.slots),
+    ]
+    sparse = (len(range(start, stop, step)) <= size // 8
+              and (a.slots.view(np.uint64) < 0x7FF0000000000000).all())
+    for op, ref in cases:
+        r = eng.rotate(a, k)
+        p = eng.cmult(r, mask)
+        assert (type(p) is ProductVector) == sparse
+        assert bits(op(p).slots) == bits(ref(want))
+        assert bits(p.slots) == bits(want)
+        assert bits(r.slots) == bits(rolled)
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
 @given(rotation(), st.data())
 def test_flood_of_rotation_in_add_and_sub_matches_dense(case, data):
     """add and sub meet an unread window-1 flood of an unread rotation in one
@@ -586,7 +632,8 @@ def test_lazy_fast_paths_build_no_slots(backend):
     uniform left operand as one value, on the leveled backend a uniform
     times a sparse row is a product that add consumes unread, and a one-hot
     cmult of a rotation, added unread, builds neither the rotation nor the
-    flood but one zero pattern of the source."""
+    flood but one zero pattern of the source; a short slice cmult of a
+    rotation of a non-negative source is such a product."""
     eng = lazy_engine(backend, 4096)
     a = eng.encrypt(np.linspace(-1.0, 1.0, 4096))
     d = eng.encrypt(np.linspace(2.0, 3.0, 4096))
@@ -614,6 +661,15 @@ def test_lazy_fast_paths_build_no_slots(backend):
             zero = sums._zero
     assert sums._zero is zero                     # one zero pattern per source
     assert getattr(r, "_zero", None) is None
+    # a row cut from a rotation of a non-negative source: an unread product
+    xm = eng.encrypt(np.linspace(0.0, 1.0, 4096))
+    r = eng.rotate(xm, 10)
+    row = eng.cmult(r, segment_mask(eng, 0, 5))
+    assert type(row) is ProductVector and r.src is xm
+    eng.add(d, row)
+    if backend == "leveled":
+        eng.add(d, eng.mult(u, row))
+    assert row._cache is None and r._cache is None and u._cache is None
 
 
 def test_lazy_forms_keep_the_trace():

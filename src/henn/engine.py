@@ -82,17 +82,18 @@ consumers of an unread rotation above, whose flood is the only one that
 reaches an ``add`` unread.  Every other combination reads ``slots`` and takes
 the dense path.
 
-Reading ``slots`` of a lazy vector replays the dense composition (``np.full``
-for a uniform one; ``src.slots * 0.0``, the picked slot and the recorded
-``rotate_add`` doublings for a flood; the rotation kernel for a rotation,
-which then drops its source; ``np.full`` of the signed zero with the
-rescaled support for a product), caches the read-only result on the vector
-and returns it, so both paths give the same bits.  That cache, and the
-finiteness, support and zero pattern that ``_all_finite``, ``_support`` and
-``_zero`` cache, are the only state written after construction; filling
-each is idempotent, so two threads that race on it both see the same
-values.  Every op is still one engine call with its own uid, level and
-trace records, whatever the form of its operands.
+Reading ``slots`` of a lazy vector replays the dense composition
+(``np.full`` for a uniform one; ``src.slots * 0.0``, the picked slot and the
+recorded ``rotate_add`` doublings for a flood; the rotation kernel for a
+rotation, which then drops its source; ``np.full`` of the signed zero with
+the rescaled support for a product), caches the read-only result on the
+vector and returns it, so both paths give the same bits.  That cache (with a
+rotation's source, dropped once the cache is filled), and the finiteness,
+support, zero pattern and its sign that ``_all_finite``, ``_support``,
+``_zero`` and ``_zero_is_plus`` cache, are the only state written after
+construction; filling each is idempotent, so two threads that race on it
+both see the same values.  Every op is still one engine call with its own
+uid, level and trace records, whatever the form of its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -564,10 +565,10 @@ class SlotEngine:
         over an unread rotation, as the right operand, is never built: ufunc
         meets the rotated zero pattern of the rotation's source (``_zero``)
         in one pass through the two wrap-around slices, and the flood's slot
-        then gets the result for its value.  An unread product as
-        the right operand is never built: its ``zero`` enters every slot in
-        one pass, and the slots of its support are then overwritten with the
-        results for its rescaled products.
+        then gets the result for its value.  An unread product as the right
+        operand is never built either: its ``zero`` enters every slot in one
+        pass, and the slots of its support are then overwritten with the
+        results for its picked values.
         """
         self._check_pair(a, b)
         level = min(a.level, b.level) if self._leveled else None
@@ -669,31 +670,31 @@ class SlotEngine:
             else:
                 picked *= m.value
             sv = self._flood(a, m.index, picked, 1, len(a), level)
-        elif (type(a) is RotatedVector and (src := a.src) is not None
-              and len(range(*m.index.indices(a.size))) <= a.size // 8 and _zero_is_plus(src)):
-            support = np.arange(*m.index.indices(a.size))
-            picked = src.slots[(support + a.k) % a.size]
-            if self._leveled:
-                mq = _kernels.quantize_float(m.value, self._scale)
-                picked = _kernels.mult_rescale(picked, mq, self._scale)
-            else:
-                picked = picked * m.value
-            bits = self.config.logp if self._leveled else None
-            sv = ProductVector(a.size, 0.0, support, picked, level, bits, next(self._uid))
         else:
-            # The picked product is formed before the full-width output is
-            # allocated: for the same work, the other order measured about
-            # 10 % slower on the paper-scale step.
-            x = a.slots
-            picked = x[m.index]
+            sparse = (type(a) is RotatedVector and (src := a.src) is not None
+                      and len(range(*m.index.indices(a.size))) <= a.size // 8
+                      and _zero_is_plus(src))
+            if sparse:
+                support = np.arange(*m.index.indices(a.size))
+                picked = src.slots[(support + a.k) % a.size]
+            else:
+                x = a.slots
+                picked = x[m.index]
             if self._leveled:
                 mq = _kernels.quantize_float(m.value, self._scale)
                 picked = _kernels.mult_rescale(picked, mq, self._scale)
             else:
                 picked = picked * m.value
-            out = x * 0.0
-            out[m.index] = picked
-            sv = self._new(out, level)
+            if sparse:
+                bits = self.config.logp if self._leveled else None
+                sv = ProductVector(a.size, 0.0, support, picked, level, bits, next(self._uid))
+            else:
+                # The picked product is formed before the full-width output
+                # is allocated: for the same work, the other order measured
+                # about 10 % slower on the paper-scale step.
+                out = x * 0.0
+                out[m.index] = picked
+                sv = self._new(out, level)
         self._record("cmult", (a,), sv, 1)
         return sv
 

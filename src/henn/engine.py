@@ -14,81 +14,51 @@ op makes one pass over its operands.  A PlainMask is either dense (one value
 per slot) or structured: one value on the slots picked by one index
 expression (an int or a slice) and +0.0 elsewhere, with no dense array.  The
 mask builders in ``encoding`` make structured masks.  On the leveled backend
-``cmult`` quantizes its mask operand on each call, which for a structured
-mask is one scalar; it then touches only the picked slots beyond the
-``a * 0.0`` pass that gives the +0.0 slots their (signed) zeros.
+``cmult`` quantizes its mask on each call, for a structured mask one scalar.
 
-Besides the dense form, a result can take one of four lazy forms, which
+Besides the dense form, a result can take one of three lazy forms, which
 hold what defines their slots instead of the slots themselves:
 
-* flood (``FloodVector``): ``cmult`` of a vector by a one-hot structured
-  mask (window 1), followed by ``rotate_add(v, k)`` calls with ``k`` equal to
-  the window, each of which doubles it.  This is the scalar-replication
-  pattern (``keep_only`` then ``roll_fill``).  When the window covers every
-  slot, the picked value v is finite and non-zero and every slot of the
-  source is finite, the flood becomes uniform: each output slot is the sum of
-  exactly one copy of v and of signed zeros (``x * 0.0`` of finite x), and
-  v + (+-0.0) == v, so every slot is exactly v.  Otherwise it stays a flood.
-* uniform (``UniformVector``): every slot holds one value.
+* uniform (``UniformVector``): every slot holds one value.  ``add``, ``sub``
+  and ``mult`` of two uniform vectors compute it with Python floats
+  (``operator.add``/``sub`` and the scalar kernels of ``_kernels``), the
+  same IEEE operations the dense form applies to each slot; ``mult`` enters
+  a uniform left operand as a scalar.
 * rotation (``RotatedVector``): what ``rotate(src, k)`` returns, the source
-  and the shift.  This is the placement pattern of the forward matmuls
-  (``linalg``): ``acc = add(acc, cmult(rotate(sums, k), one-hot mask))``, n
-  rotations of one ``sums`` vector per result column.  Two consumers read
-  an unread rotation without building it: a one-hot ``cmult`` picks slot
-  ``(index + k) % size`` of the source, and ``add``/``sub`` with the
-  resulting unread window-1 flood as the right operand make one pass,
-  ``ufunc(a, rotate(zero, k))`` through the two wrap-around slices, then
-  ``ufunc`` of ``a`` and the flood's value at its slot.  ``zero`` is the
-  source's zero pattern ``src.slots * 0.0``, computed once per source and
-  shared by its n placements; rotating it is bit for bit ``rotate(src, k) *
-  0.0``, since the multiplication is slotwise.  A third consumer, a
-  ``cmult`` by a slice mask, gives a product (below) when the slice holds
-  at most an eighth of the slots and the zero pattern is +0.0 in every slot
-  (every source slot finite with a clear sign bit, found once per source
-  and cached): the row cuts ``extract_row`` and ``z_rows`` and the segments
-  of the hidden re-layout, all from non-negative sources in training.
-* product (``ProductVector``): on the leveled backend, ``mult(t, x)`` of a
-  uniform t by an x whose slots are +0.0 outside a support of at most an
-  eighth of the slots (-0.0, NaN and the infinities belong to the support).
-  Outside the support every slot is t * +0.0: a signed zero for finite t
-  and NaN otherwise, both of which the scale, ``rint`` and unscale passes
-  return unchanged, so only the support is rescaled.  The support is found
-  once per x and cached on it.  This is the gradient pattern
-  ``t * x_rows[i]`` (and ``t * z_rows[i]``).  Such a row is cut out by a
-  prefix-mask ``cmult``, which leaves ``x * 0.0`` on every other slot: +0.0
-  where the matrix entry is non-negative, -0.0 where it is negative.  So the
-  support is the row's 1 + d slots plus one slot per negative entry in the
-  rest of the matrix.  With non-negative (minmax-scaled) inputs, as in the
-  iris workloads, that is 1 + d.  With zscore scaling (boston's default) it
-  grows by the matrix's negative entries, and where those fill more than
-  an eighth of the slots the product takes the dense kernel.  The cut-off
-  is the measured crossover of the two paths (``BENCH_scalar_kernels.json``,
-  section ``product_support``).  The slice ``cmult`` of a rotation above
-  is a product too, with the picked slots rescaled, +0.0 elsewhere and the
-  slice's indices as its support; ``mult`` of a uniform by a product whose
-  zero is +0.0 takes that support and the picked values unbuilt.
+  and the shift.  A structured ``cmult`` of an unread rotation reads its
+  picked slots from the source, at ``(index + k) % size``.
+* sparse (``SparseVector``): ``values`` on a ``support`` (an int, a slice or
+  an index array) and signed zeros elsewhere, then the ``rotate_add``
+  doublings up to a ``window``.  The zeros are one float ``zero``, or the
+  zero pattern ``src.slots * 0.0`` rotated by ``k``, which is bit for bit
+  ``rotate(src, k) * 0.0`` since the product is slotwise; ``_zero`` caches
+  the pattern on the source, so the n placements of one source share it.
 
-Only the operand forms that training and ``dvr_matmul`` produce have lazy
-or scalar paths: the flood doubling above; ``add``, ``sub`` and ``mult`` of
-two uniform vectors, and the picked slot of a one-hot ``cmult``, which
-compute their one value with Python floats (``operator.add``/``sub`` and the
-scalar kernels ``_kernels.mult_rescale_float``/``quantize_float``), the same
-IEEE operations the dense form applies to each slot; ``mult`` of a uniform
-left operand by a dense one, which gives a product as above or, for a
-wide support, enters the value as a scalar that numpy broadcasts to the same
-slotwise arithmetic; ``add``/``sub`` with an unread product as the right
-operand, which applies the product without building it; and the three
-consumers of an unread rotation above, whose flood is the only one that
-reaches an ``add`` unread.  Every other combination reads ``slots`` and takes
-the dense path.
+Every structured-mask ``cmult`` gives a sparse vector over the pattern of its
+operand, or of an unread rotation's source: the dense product's slots at the
+mask's +0.0 slots, NaN included.  ``rotate_add(v, k)`` with ``k`` equal to
+the window doubles it, as ``roll_fill`` does after ``keep_only``.  When the
+window covers every slot, the support is one slot with a finite non-zero
+value v and every zero is finite, the vector becomes uniform: each slot sums
+one v and signed zeros, and v + (+-0.0) == v.  ``mult(t, x)`` of a uniform t
+by an x that is +0.0 outside a support multiplies only the support and gives
+a sparse vector with the float zero ``t * 0.0`` (a signed zero, or NaN for a
+non-finite t; the rescale passes return both unchanged).  ``_sparse`` finds
+the support: a window-1 sparse x whose zeros are +0.0 gives its own; any
+other x is scanned once (``_support``), and a support of more than an eighth
+of the slots takes the dense kernel (the measured crossover,
+``BENCH_scalar_kernels.json``, section ``product_support``).  A row cut from
+a matrix with negative entries (zscore-scaled inputs) takes the scan, which
+adds a -0.0 slot for each of them.  ``add``/``sub`` with an unread window-1
+sparse right operand make one pass, ``ufunc(a, zero)`` or ``ufunc(a,
+rotate(pattern, k))`` through the two wrap-around slices, and then apply the
+values on the support: the placements of the forward matmuls (``linalg``),
+the gradient sums in ``enc_train`` and the masked terms of its update.
 
-Reading ``slots`` of a lazy vector replays the dense composition
-(``np.full`` for a uniform one; ``src.slots * 0.0``, the picked slot and the
-recorded ``rotate_add`` doublings for a flood; the rotation kernel for a
-rotation, which then drops its source; ``np.full`` of the signed zero with
-the rescaled support for a product), caches the read-only result on the
-vector and returns it, so both paths give the same bits.  That cache (with a
-rotation's source, dropped once the cache is filled), and the finiteness,
+Every other combination reads ``slots`` and takes the dense path.  Reading
+``slots`` of a lazy vector replays the dense composition, caches the
+read-only result on the vector and returns it, so both paths give the same
+bits; a rotation then drops its source.  That cache, and the finiteness,
 support, zero pattern and its sign that ``_all_finite``, ``_support``,
 ``_zero`` and ``_zero_is_plus`` cache, are the only state written after
 construction; filling each is idempotent, so two threads that race on it
@@ -212,35 +182,6 @@ class UniformVector(_LazyVector):
         return np.full(self.size, self.value)
 
 
-class FloodVector(_LazyVector):
-    """``cmult(src, one-hot mask at index)``, whose picked slot came out as
-    ``value``, then the ``rotate_add`` doublings by 1, 2, ... up to
-    ``window``/2 (window 1: none)."""
-
-    __slots__ = ("src", "index", "value", "window")
-
-    def __init__(self, src: SlotVector, index: int, value: float, window: int, size: int,
-                 level, scale_bits, uid):
-        self.size = size
-        self.src = src
-        self.index = index
-        self.value = value
-        self.window = window
-        self.level = level
-        self.scale_bits = scale_bits
-        self.uid = uid
-        self._cache = None
-
-    def _build(self):
-        out = self.src.slots * 0.0
-        out[self.index] = self.value
-        step = 1
-        while step < self.window:
-            out = _kernels.rotate_add(out, step)
-            step *= 2
-        return out
-
-
 class RotatedVector(_LazyVector):
     """``rotate(src, k)``, k already reduced modulo the slot count.  Building
     the slots drops ``src``, so ``src is None`` once they are built."""
@@ -270,29 +211,40 @@ class RotatedVector(_LazyVector):
         return self._cache
 
 
-class ProductVector(_LazyVector):
-    """A product that holds ``picked`` on the indices ``support`` and
-    ``zero`` on every other slot: ``mult(t, x)`` on the leveled backend for a
-    uniform t and an x that is +0.0 outside ``support`` (``zero`` = t * +0.0,
-    which the rescale passes leave as it is: a signed zero, or NaN when t is
-    not finite), or ``cmult`` of an unread rotation by a slice mask whose
-    rotated zero pattern is +0.0 (``zero`` = +0.0)."""
+class SparseVector(_LazyVector):
+    """``values`` on the slots ``support`` (an int, a slice or an index
+    array) and, on every other slot, the zero pattern ``src.slots * 0.0``
+    rotated by ``k``, or the float ``zero`` when ``src`` is None; then the
+    ``rotate_add`` doublings by 1, 2, ... up to ``window``/2 (window 1:
+    none)."""
 
-    __slots__ = ("zero", "support", "picked")
+    __slots__ = ("src", "k", "zero", "support", "values", "window")
 
-    def __init__(self, size, zero: float, support, picked, level, scale_bits, uid):
+    def __init__(self, size, src, k, zero, support, values, window, level, scale_bits, uid):
         self.size = size
+        self.src = src
+        self.k = k
         self.zero = zero
         self.support = support
-        self.picked = picked
+        self.values = values
+        self.window = window
         self.level = level
         self.scale_bits = scale_bits
         self.uid = uid
         self._cache = None
 
     def _build(self):
-        out = np.full(self.size, self.zero)
-        out[self.support] = self.picked
+        if self.src is None:
+            out = np.full(self.size, self.zero)
+        elif self.k:
+            out = _kernels.rotate(_zero(self.src), self.k)
+        else:
+            out = self.src.slots * 0.0
+        out[self.support] = self.values
+        step = 1
+        while step < self.window:
+            out = _kernels.rotate_add(out, step)
+            step *= 2
         return out
 
 
@@ -343,13 +295,15 @@ def _support(v: SlotVector):
 
 
 def _sparse(v: SlotVector):
-    """``(support, values)``: indices outside which v is +0.0 and v's slots on
-    them, or None (see ``_support``).  A product whose ``zero`` is +0.0 gives
-    its own support and values unbuilt; its support may also hold slots
-    whose value is +0.0, which a product by v maps as it maps the slots
-    outside."""
-    if type(v) is ProductVector and v.zero == 0.0 and math.copysign(1.0, v.zero) > 0:
-        return v.support, v.picked
+    """``(support, values)``: a support outside which v is +0.0 and v's slots
+    on it, or None.  A window-1 sparse vector whose zeros are +0.0 gives its
+    own, unbuilt; its support may also hold +0.0 slots, which a product by v
+    maps as it maps the slots outside.  Any other v is scanned
+    (``_support``)."""
+    if type(v) is SparseVector and v.window == 1 and (
+            _zero_is_plus(v.src) if v.src is not None
+            else v.zero == 0.0 and math.copysign(1.0, v.zero) > 0):
+        return v.support, v.values
     support = _support(v)
     return None if support is None else (support, v.slots[support])
 
@@ -533,14 +487,15 @@ class SlotEngine:
         bits = self.config.logp if self._leveled else None
         return UniformVector(size, value, level, bits, next(self._uid))
 
-    def _flood(self, src: SlotVector, index: int, value: float, window: int, size: int,
-               level) -> SlotVector:
-        """A flood vector, or its one value as a uniform vector when that is
+    def _sparse_vector(self, src, k, zero, support, values, window, size, level) -> SlotVector:
+        """A sparse vector, or its one value as a uniform vector when that is
         exact (see the module docstring)."""
-        if window == size and value != 0.0 and math.isfinite(value) and _all_finite(src):
-            return self._uniform(value, size, level)
+        if (window == size and type(support) is int and values != 0.0 and math.isfinite(values)
+                and (_all_finite(src) if src is not None else math.isfinite(zero))):
+            return self._uniform(values, size, level)
         bits = self.config.logp if self._leveled else None
-        return FloodVector(src, index, value, window, size, level, bits, next(self._uid))
+        return SparseVector(size, src, k, zero, support, values, window, level, bits,
+                            next(self._uid))
 
     def _record(self, op, ins, out, consumed):
         if self.trace is not None:
@@ -550,10 +505,24 @@ class SlotEngine:
         if len(a) != len(b):
             raise LengthMismatch(f"{len(a)} vs {len(b)} slots")
 
-    def _require_level(self, op, *vs):
-        for v in vs:
-            if v.level is not None and v.level < 1:
-                raise DepthExhausted(f"{op}: operand at level 0 (budget {self.config.level_budget})")
+    def _consume(self, op, a: SlotVector, b: SlotVector | None = None):
+        """The level of a result that rescales once: one below its lower
+        operand (None on the exact backend)."""
+        if not self._leveled:
+            return None
+        level = a.level if b is None else min(a.level, b.level)
+        if level < 1:
+            raise DepthExhausted(f"{op}: operand at level 0 (budget {self.config.level_budget})")
+        return level - 1
+
+    def _product(self, x, y):
+        """x * y slotwise, rescaled on the leveled backend: the scalar kernel
+        for two Python floats, else the array kernel (a scalar broadcasts)."""
+        if not self._leveled:
+            return x * y
+        if type(x) is float and type(y) is float:
+            return _kernels.mult_rescale_float(x, y, self._scale)
+        return _kernels.mult_rescale(x, y, self._scale)
 
     # --- operations ---------------------------------------------------------
 
@@ -561,29 +530,24 @@ class SlotEngine:
         """The body of add and sub: ufunc (np.add or np.subtract) slotwise.
 
         Two uniform operands give one float through scalar_op (operator.add
-        or operator.sub), the same IEEE operation.  An unread window-1 flood
-        over an unread rotation, as the right operand, is never built: ufunc
-        meets the rotated zero pattern of the rotation's source (``_zero``)
-        in one pass through the two wrap-around slices, and the flood's slot
-        then gets the result for its value.  An unread product as the right
-        operand is never built either: its ``zero`` enters every slot in one
-        pass, and the slots of its support are then overwritten with the
-        results for its picked values.
+        or operator.sub), the same IEEE operation.  An unread window-1 sparse
+        right operand is never built: its zeros enter every slot in one pass
+        (ufunc with its float zero, or with its source's zero pattern,
+        ``_zero``, through the two wrap-around slices of the rotation by k),
+        and scalar_op then gives the slots of its support the results for its
+        values (numpy's scalar or array arithmetic, the same operation).
         """
         self._check_pair(a, b)
         level = min(a.level, b.level) if self._leveled else None
         if type(a) is UniformVector and type(b) is UniformVector:
             sv = self._uniform(scalar_op(a.value, b.value), a.size, level)
-        elif (type(b) is FloodVector and b._cache is None and b.window == 1
-              and type(rot := b.src) is RotatedVector and (src := rot.src) is not None):
+        elif type(b) is SparseVector and b._cache is None and b.window == 1:
             x = a.slots
-            out = _kernels.rotate_combine(ufunc, x, _zero(src), rot.k)
-            out[b.index] = scalar_op(float(x[b.index]), b.value)
-            sv = self._new(out, level)
-        elif type(b) is ProductVector and b._cache is None:
-            x = a.slots
-            out = ufunc(x, b.zero)
-            out[b.support] = ufunc(x[b.support], b.picked)
+            if b.src is None:
+                out = ufunc(x, b.zero)
+            else:
+                out = _kernels.rotate_combine(ufunc, x, _zero(b.src), b.k)
+            out[b.support] = scalar_op(x[b.support], b.values)
             sv = self._new(out, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
@@ -602,99 +566,50 @@ class SlotEngine:
         """Slotwise product; leveled backend rescales and consumes one level.
 
         Two uniform operands give one float through the scalar kernel.  A
-        uniform left operand enters as a scalar; on the leveled backend, when
-        the right operand is sparse (``_support``), only its support is
-        rescaled and the result is a ``ProductVector``."""
+        uniform left operand enters as a scalar; when the right operand is
+        +0.0 outside a support (``_sparse``), only the support is multiplied
+        and the result is sparse."""
         self._check_pair(a, b)
-        if self._leveled:
-            self._require_level("mult", a, b)
-            level = min(a.level, b.level) - 1
-        else:
-            level = None
+        level = self._consume("mult", a, b)
         ua = type(a) is UniformVector
         if ua and type(b) is UniformVector:
-            if self._leveled:
-                value = _kernels.mult_rescale_float(a.value, b.value, self._scale)
-            else:
-                value = a.value * b.value
-            sv = self._uniform(value, len(a), level)
+            sv = self._uniform(self._product(a.value, b.value), len(a), level)
+        elif ua and (sparse := _sparse(b)) is not None:
+            support, values = sparse
+            sv = self._sparse_vector(None, 0, a.value * 0.0, support,
+                                     self._product(a.value, values), 1, len(b), level)
         else:
-            x = a.value if ua else a.slots
-            if not self._leveled:
-                sv = self._new(x * b.slots, level)
-            elif ua and (sparse := _sparse(b)) is not None:
-                support, values = sparse
-                picked = _kernels.mult_rescale(x, values, self._scale)
-                sv = ProductVector(len(b), x * 0.0, support, picked, level,
-                                   self.config.logp, next(self._uid))
-            else:
-                sv = self._new(_kernels.mult_rescale(x, b.slots, self._scale), level)
+            sv = self._new(self._product(a.value if ua else a.slots, b.slots), level)
         self._record("mult", (a, b), sv, 1)
         return sv
 
     def cmult(self, a: SlotVector, m: PlainMask) -> SlotVector:
         """Product with a plaintext mask; consumes one level (rescale).
 
-        A structured mask gives ``a * 0.0`` outside its index, which is what
-        the dense product gives at the mask's +0.0 slots (signed zeros and
-        NaN included), and the (rescaled) product at its index.  On the
-        leveled backend the mask is quantized first: the dense slots, or the
-        structured mask's one value.  A one-hot mask (int index) gives a
-        flood of window 1 (see the module docstring); of an unread rotation
-        it reads the picked slot from the rotation's source, unbuilt.  A
-        short slice mask of an unread rotation whose zero pattern is +0.0
-        gives a ``ProductVector`` read from the source the same way.
+        On the leveled backend the mask is quantized first: the dense slots,
+        or the structured mask's one value.  A structured mask gives a sparse
+        vector of window 1: the (rescaled) products at its index, and
+        ``a * 0.0`` elsewhere, which is what the dense product gives at the
+        mask's +0.0 slots (signed zeros and NaN included).  Of an unread
+        rotation, the products and the zero pattern are read from the
+        rotation's source, unbuilt.
         """
         self._check_pair(a, m)
-        if self._leveled:
-            self._require_level("cmult", a)
-            level = a.level - 1
-        else:
-            level = None
+        level = self._consume("cmult", a)
         if m.index is None:
-            x = a.slots
-            if self._leveled:
-                mq = _kernels.quantize(m.slots, self._scale)
-                out = _kernels.mult_rescale(x, mq, self._scale)
-            else:
-                out = x * m.slots
-            sv = self._new(out, level)
-        elif type(m.index) is int:
-            if type(a) is RotatedVector and (src := a.src) is not None:
-                picked = float(src.slots[(m.index + a.k) % a.size])
-            else:
-                picked = float(a.slots[m.index])
-            if self._leveled:
-                mq = _kernels.quantize_float(m.value, self._scale)
-                picked = _kernels.mult_rescale_float(picked, mq, self._scale)
-            else:
-                picked *= m.value
-            sv = self._flood(a, m.index, picked, 1, len(a), level)
+            mq = _kernels.quantize(m.slots, self._scale) if self._leveled else m.slots
+            sv = self._new(self._product(a.slots, mq), level)
         else:
-            sparse = (type(a) is RotatedVector and (src := a.src) is not None
-                      and len(range(*m.index.indices(a.size))) <= a.size // 8
-                      and _zero_is_plus(src))
-            if sparse:
-                support = np.arange(*m.index.indices(a.size))
-                picked = src.slots[(support + a.k) % a.size]
+            src, k, size = a, 0, len(a)
+            if type(a) is RotatedVector and (rot_src := a.src) is not None:
+                src, k = rot_src, a.k
+            if type(m.index) is int:
+                picked = float(src.slots[(m.index + k) % size])
             else:
-                x = a.slots
-                picked = x[m.index]
-            if self._leveled:
-                mq = _kernels.quantize_float(m.value, self._scale)
-                picked = _kernels.mult_rescale(picked, mq, self._scale)
-            else:
-                picked = picked * m.value
-            if sparse:
-                bits = self.config.logp if self._leveled else None
-                sv = ProductVector(a.size, 0.0, support, picked, level, bits, next(self._uid))
-            else:
-                # The picked product is formed before the full-width output
-                # is allocated: for the same work, the other order measured
-                # about 10 % slower on the paper-scale step.
-                out = x * 0.0
-                out[m.index] = picked
-                sv = self._new(out, level)
+                picked = src.slots[(np.arange(*m.index.indices(size)) + k) % size]
+            mq = _kernels.quantize_float(m.value, self._scale) if self._leveled else m.value
+            sv = self._sparse_vector(src, k, None, m.index, self._product(picked, mq), 1, size,
+                                     level)
         self._record("cmult", (a,), sv, 1)
         return sv
 
@@ -711,10 +626,11 @@ class SlotEngine:
     def rotate_add(self, a: SlotVector, k: int) -> SlotVector:
         """Fused add(a, rotate(a, k)); same semantics, one kernel pass.
 
-        On a flood whose window is k it doubles the window instead."""
+        On a sparse vector whose window is k it doubles the window instead."""
         k %= len(a)
-        if type(a) is FloodVector and k == a.window:
-            sv = self._flood(a.src, a.index, a.value, 2 * k, a.size, a.level)
+        if type(a) is SparseVector and k == a.window:
+            sv = self._sparse_vector(a.src, a.k, a.zero, a.support, a.values, 2 * k, a.size,
+                                     a.level)
         else:
             sv = self._new(_kernels.rotate_add(a.slots, k), a.level)
         if self.trace is not None:

@@ -31,16 +31,22 @@ def _check_result_fits(engine: SlotEngine, n: int, p: int):
         raise MatrixTooLarge(f"product {n}x{p} needs {n * p} slots > {engine.config.slots}")
 
 
+def _place(engine, v, moves, acc=None):
+    """Move slot src of v to slot dst for each (src, dst) in moves (a
+    rotation and a one-hot mask) and add it into acc; the first move starts
+    acc when it is None."""
+    for src, dst in moves:
+        placed = engine.cmult(engine.rotate(v, src - dst), one_hot_mask(engine, dst))
+        acc = placed if acc is None else engine.add(acc, placed)
+    return acc
+
+
 def _column_pass(engine, a_vec, n, k, p, q, b_rep, acc):
     """One result column: multiply, row-sum at block starts, place."""
     prod = engine.mult(a_vec, b_rep)
     window = windowed_sum(engine, prod, k, 1)
     sums = engine.cmult(window, strided_mask(engine, 0, k, n))
-    for i in range(n):
-        dst = i * p + q
-        placed = engine.cmult(engine.rotate(sums, i * k - dst), one_hot_mask(engine, dst))
-        acc = placed if acc is None else engine.add(acc, placed)
-    return acc
+    return _place(engine, sums, ((i * k, i * p + q) for i in range(n)), acc)
 
 
 def _rows_of(engine, b_t: EncodedMatrix):
@@ -108,19 +114,12 @@ def vr_matmul_first_transposed(engine: SlotEngine, a_t: EncodedMatrix, b: Encode
     for q in range(p):
         # column q of b, moved to each block start, then spread across blocks
         col = engine.cmult(b.parts[0], strided_mask(engine, q, p, k))
-        aligned = None
-        for j in range(k):
-            moved = engine.rotate(col, j * p + q - j * n)
-            picked = engine.cmult(moved, one_hot_mask(engine, j * n))
-            aligned = picked if aligned is None else engine.add(aligned, picked)
+        aligned = _place(engine, col, ((j * p + q, j * n) for j in range(k)))
         spread = windowed_sum(engine, aligned, n, -1)
         prod = engine.mult(a_t.parts[0], spread)
         window = windowed_sum(engine, prod, k, n)
         sums = engine.cmult(window, prefix_mask(engine, n))
-        for i in range(n):
-            dst = i * p + q
-            placed = engine.cmult(engine.rotate(sums, i - dst), one_hot_mask(engine, dst))
-            acc = placed if acc is None else engine.add(acc, placed)
+        acc = _place(engine, sums, ((i, i * p + q) for i in range(n)), acc)
     return EncodedMatrix(n, p, Layout.FULL_MATRIX, (acc,))
 
 

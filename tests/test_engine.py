@@ -1,5 +1,7 @@
 """Slot engine contract: algebra, levels, purity, trace."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from henn import _kernels
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
-from henn.engine import (EngineConfig, FloodVector, OpTrace, PlainMask, ProductVector,
-                         RotatedVector, SlotEngine, UniformVector, depth_report)
+from henn.engine import (EngineConfig, OpTrace, PlainMask, RotatedVector, SlotEngine,
+                         SparseVector, UniformVector, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits
@@ -476,7 +478,7 @@ def test_product_of_uniform_and_sparse_matches_dense(case):
     size = len(x)
     want = ref_mul(eng, np.full(size, t.value), x.slots)
     sparse = np.count_nonzero(x.slots.view(np.int64)) <= size // 8
-    assert (type(eng.mult(t, x)) is ProductVector) == sparse
+    assert (type(eng.mult(t, x)) is SparseVector) == sparse
     cases = [
         (lambda p: p, lambda w: w),
         (lambda p: eng.add(d, p), lambda w: d.slots + w),
@@ -540,9 +542,8 @@ def test_one_hot_cmult_of_rotation_matches_dense(case, data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_slice_cmult_of_rotation_matches_dense(data):
-    """cmult of an unread rotation by a slice mask is a product, unbuilt,
-    when the slice holds at most an eighth of the slots and every source slot
-    times 0.0 is +0.0; the result, its uses in mult, add and sub, and the
+    """cmult of an unread rotation by a slice mask is sparse, read from the
+    source unbuilt; the result, its uses in mult, add and sub, and the
     result and the rotation read afterwards are the dense ones."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([8, 16, 32, 64]))
@@ -569,12 +570,10 @@ def test_slice_cmult_of_rotation_matches_dense(data):
         (lambda p: eng.sub(d, p), lambda w: d.slots - w),
         (lambda p: eng.add(eng.mult(u, p), d), lambda w: ref_mul(eng, np.full(size, t), w) + d.slots),
     ]
-    sparse = (len(range(start, stop, step)) <= size // 8
-              and (a.slots.view(np.uint64) < 0x7FF0000000000000).all())
     for op, ref in cases:
         r = eng.rotate(a, k)
         p = eng.cmult(r, mask)
-        assert (type(p) is ProductVector) == sparse
+        assert type(p) is SparseVector
         assert bits(op(p).slots) == bits(ref(want))
         assert bits(p.slots) == bits(want)
         assert bits(r.slots) == bits(rolled)
@@ -617,7 +616,7 @@ def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
     em = EncodedMatrix(64, 64, Layout.FULL_MATRIX,
                        (eng.encrypt(np.linspace(-1.0, 1.0, 4096)),))
     kept = keep_only(eng, em, 3, 5)
-    assert type(kept.parts[0]) is FloodVector
+    assert type(kept.parts[0]) is SparseVector
     v = roll_fill(eng, kept)
     assert type(v) is UniformVector
     assert v._cache is None and kept.parts[0]._cache is None     # no slots were built
@@ -629,11 +628,11 @@ def test_flood_of_finite_source_is_uniform_and_never_materialised(backend):
 def test_lazy_fast_paths_build_no_slots(backend):
     """The lazy paths that training and dvr_matmul take build no slots: two
     uniform operands of add, sub and mult give a uniform vector, mult reads a
-    uniform left operand as one value, on the leveled backend a uniform
-    times a sparse row is a product that add consumes unread, and a one-hot
-    cmult of a rotation, added unread, builds neither the rotation nor the
-    flood but one zero pattern of the source; a short slice cmult of a
-    rotation of a non-negative source is such a product."""
+    uniform left operand as one value, a uniform times a sparse row is a
+    sparse product that add consumes unread, and a one-hot cmult of a
+    rotation, added unread, builds neither the rotation nor the sparse
+    vector but one zero pattern of the source; a slice cmult of a rotation
+    of a non-negative source is a sparse row too."""
     eng = lazy_engine(backend, 4096)
     a = eng.encrypt(np.linspace(-1.0, 1.0, 4096))
     d = eng.encrypt(np.linspace(2.0, 3.0, 4096))
@@ -645,7 +644,7 @@ def test_lazy_fast_paths_build_no_slots(backend):
     assert u._cache is None and w._cache is None
     row = eng.encrypt(np.linspace(1.0, 2.0, 5))      # five slots of 4096
     p = eng.mult(u, row)
-    assert (type(p) is ProductVector) == (backend == "leveled")
+    assert type(p) is SparseVector
     eng.add(d, p)
     assert getattr(p, "_cache", None) is None and u._cache is None
     # the placement loop: one-hot cmult of a rotation, added unread
@@ -655,20 +654,19 @@ def test_lazy_fast_paths_build_no_slots(backend):
         r = eng.rotate(sums, k)
         f = eng.cmult(r, one_hot_mask(eng, 7))
         acc = eng.add(acc, f)
-        assert type(f) is FloodVector and f._cache is None
+        assert type(f) is SparseVector and f._cache is None
         assert r._cache is None and r.src is sums
         if k == 3:
             zero = sums._zero
     assert sums._zero is zero                     # one zero pattern per source
     assert getattr(r, "_zero", None) is None
-    # a row cut from a rotation of a non-negative source: an unread product
+    # a row cut from a rotation of a non-negative source: an unread sparse row
     xm = eng.encrypt(np.linspace(0.0, 1.0, 4096))
     r = eng.rotate(xm, 10)
     row = eng.cmult(r, segment_mask(eng, 0, 5))
-    assert type(row) is ProductVector and r.src is xm
+    assert type(row) is SparseVector and r.src is xm
     eng.add(d, row)
-    if backend == "leveled":
-        eng.add(d, eng.mult(u, row))
+    eng.add(d, eng.mult(u, row))
     assert row._cache is None and r._cache is None and u._cache is None
 
 
@@ -688,3 +686,141 @@ def test_lazy_forms_keep_the_trace():
         assert (type(u) is UniformVector) != poison
         entries.append(trace.entries)
     assert entries[0] == entries[1]
+
+
+@st.composite
+def structured_mask(draw, size):
+    """(a one-hot or slice PlainMask of the given size, its index, its value
+    as cmult quantizes it on the leveled backend)."""
+    if draw(st.booleans()):
+        index = draw(st.integers(-size, size - 1))
+    else:
+        start = draw(st.integers(0, size))
+        index = slice(start, draw(st.integers(start, size)), draw(st.sampled_from([1, 1, 2, 3])))
+    value = draw(st.sampled_from([1.0, -0.0, 2.5, -3.0, 0.1, 2.0**-31]))
+    return PlainMask.structured(size, index, value), index, value
+
+
+def ref_cmult(eng, x, index, value):
+    """Dense cmult of x by a structured mask: x * 0.0 off the index."""
+    vq = np.rint(value * SCALE) / SCALE if eng.config.backend == "leveled" else value
+    out = x * 0.0
+    out[index] = ref_mul(eng, x[index], vq)
+    return out
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_structured_cmult_of_dense_source_matches_dense(data):
+    """cmult of a dense, unrotated source by a one-hot or slice mask is
+    sparse over the source's own zero pattern, whose -0.0, NaN and
+    infinities come from the source; add and sub consume it unread, it is
+    read before the op, after it or never, and its rotate_add doublings
+    (roll_fill) match the dense composition too."""
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    eng = lazy_engine(backend, size)
+    kind = data.draw(st.sampled_from(["finite", "non-negative", "any"]))
+    vals = data.draw(arrays(np.float64, size, elements=ELEMENTS[kind]))
+    if kind == "any":
+        for i in data.draw(st.lists(st.integers(0, size - 1), max_size=4)):
+            vals[i] = data.draw(st.sampled_from([-0.0, float("nan"), float("inf"),
+                                                 float("-inf")]))
+    a = eng.encrypt(vals)
+    mask, index, value = data.draw(structured_mask(size))
+    want = ref_cmult(eng, a.slots, index, value)
+    d = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS["any"])))
+    read = data.draw(st.sampled_from(["before", "after", "never"]))
+    for op, ref in ((eng.add, d.slots + want), (eng.sub, d.slots - want)):
+        p = eng.cmult(a, mask)
+        assert type(p) is SparseVector and p.src is a and p.k == 0
+        if read == "before":
+            assert bits(p.slots) == bits(want)
+        assert bits(op(d, p).slots) == bits(ref)
+        if read == "after":
+            assert bits(p.slots) == bits(want)
+    v = eng.cmult(a, mask)
+    step = 1
+    while step < size:
+        v = eng.rotate_add(v, step)
+        want = ref_rotate_add(want, step)
+        step *= 2
+    assert bits(v.slots) == bits(want)
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_uniform_times_structured_cmult_matches_dense(data):
+    """mult(uniform t, cmult(rotate(a, k), one-hot or slice mask)) on both
+    backends.  The cmult's zeros are +0.0 when every slot of a is finite
+    with a clear sign bit, and mult then takes its support unbuilt; a
+    negative, -0.0 or non-finite slot of a puts -0.0 or NaN into the zero
+    pattern, and mult scans the operand or takes the dense kernel.  Either
+    way the product, its use in add, and the cmult read afterwards are the
+    dense ones."""
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([8, 16, 32, 64]))
+    eng = lazy_engine(backend, size)
+    kind = data.draw(st.sampled_from(sorted(ELEMENTS)))
+    a = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS[kind])))
+    k = data.draw(st.sampled_from([0, 1, size - 1]) | st.integers(-3 * size, 3 * size))
+    mask, index, value = data.draw(structured_mask(size))
+    t = data.draw(st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0) | st.just(0.3))
+    level = eng.config.level_budget if backend == "leveled" else None
+    u = eng._uniform(t, size, level)
+    d = eng.encrypt(data.draw(arrays(np.float64, size, elements=ELEMENTS["any"])))
+    want_p = ref_cmult(eng, np.roll(a.slots, -k), index, value)
+    want = ref_mul(eng, np.full(size, t), want_p)
+    p = eng.cmult(eng.rotate(a, k), mask)
+    prod = eng.mult(u, p)
+    if (a.slots.view(np.uint64) < 0x7FF0000000000000).all():
+        assert type(prod) is SparseVector and p._cache is None
+    assert bits(prod.slots) == bits(want)
+    assert bits(eng.add(d, eng.mult(u, p)).slots) == bits(d.slots + want)
+    assert bits(p.slots) == bits(want_p)
+
+
+def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
+    """Traffic guard: one leveled training step builds exactly these lazy
+    vectors, so a fast path that silently falls back to a build shows here
+    although its bits stay the same.  With n = 8 rows, m = 4 hidden units
+    and c = 3 classes: the block-start sums of the m + c result columns,
+    the activation-derivative grid and the error signal are slice cmults
+    whose slots one-hot cmults read (9); the first placement of each of the
+    two matmuls starts its accumulator (2), and so does the first product
+    of each of the m + c gradient rows (7); the rotations read are the
+    shifted partial sums of the output matmul's windowed sums over 1 + m = 5
+    slots, one per column (3)."""
+    from henn.data import Batch, one_hot
+    from henn.enc_train import EncryptedTrainer
+    from henn.losses import LossSpec
+    from henn.nn import init_params
+
+    rng = np.random.default_rng(0)
+    n, d, c, m = 8, 3, 3, 4
+    X = np.hstack([np.ones((n, 1)), rng.uniform(0.0, 1.0, (n, d))])
+    labels = np.arange(n) % c
+    batch = Batch(X, one_hot(labels, c), "classification", class_count=c, labels=labels)
+    eng = lazy_engine("leveled", 64)
+    trainer = EncryptedTrainer(eng, batch, init_params(d, m, c, 0, eta=0.1), LossSpec("sle2"))
+
+    built = Counter()
+    build, rotated = SparseVector._build, RotatedVector.slots.fget
+
+    def counted_build(v):
+        zero = "float" if v.src is None else "pattern"
+        support = "one-hot" if type(v.support) is int else type(v.support).__name__
+        built[f"sparse {zero} {support}"] += 1
+        return build(v)
+
+    def counted_rotation(v):
+        built["rotation"] += v.src is not None
+        return rotated(v)
+
+    monkeypatch.setattr(SparseVector, "_build", counted_build)
+    monkeypatch.setattr(RotatedVector, "slots", property(counted_rotation))
+    trainer.iterate()
+    assert dict(built) == {"sparse pattern slice": 9, "sparse pattern one-hot": 2,
+                           "sparse float slice": 7, "rotation": 3}

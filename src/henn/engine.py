@@ -34,9 +34,11 @@ hold what defines their slots instead of the slots themselves:
   ``rotate(src, k) * 0.0`` since the product is slotwise; ``_zero`` caches
   the pattern on the source, so the n placements of one source share it.
 
-Every structured-mask ``cmult`` gives a sparse vector over the pattern of its
-operand, or of an unread rotation's source: the dense product's slots at the
-mask's +0.0 slots, NaN included.  ``rotate_add(v, k)`` with ``k`` equal to
+``encrypt`` gives a sparse vector of its values on the first slots and +0.0
+elsewhere, so encrypting a short vector allocates no slots.  Every
+structured-mask ``cmult`` gives one over the pattern of its operand, or of an
+unread rotation's source: the dense product's slots at the mask's +0.0
+slots, NaN included.  ``rotate_add(v, k)`` with ``k`` equal to
 the window doubles it, as ``roll_fill`` does after ``keep_only``.  When the
 window covers every slot, the support is one slot with a finite non-zero
 value v and every zero is finite, the vector becomes uniform: each slot sums
@@ -458,17 +460,22 @@ class SlotEngine:
         return out
 
     def encrypt(self, values) -> SlotVector:
-        """Pack values into a fresh vector, zero-padded on the right.
+        """Pack values into a fresh vector, zero-padded on the right: a sparse
+        vector of the values on the first slots and +0.0 elsewhere, built on
+        first read, so that encrypting a short vector allocates no slots.
 
         Leveled backend: slots are quantized to the 2**logp fixed-point grid
         and the vector starts at the full level budget.  Only the values are
         quantized; the +0.0 padding is its own quantization.
         """
+        values = np.array(values, dtype=np.float64).ravel()
+        if values.shape[0] > self.config.slots:
+            raise InputTooLong(f"{values.shape[0]} values > {self.config.slots} slots")
         if self._leveled:
-            values = _kernels.quantize(np.asarray(values, dtype=np.float64).ravel(), self._scale)
-            sv = self._new(self._pad(values), self.config.level_budget)
-        else:
-            sv = self._new(self._pad(values), None)
+            values = _kernels.quantize(values, self._scale)
+        level = self.config.level_budget if self._leveled else None
+        sv = self._sparse_vector(None, 0, 0.0, slice(0, values.shape[0]), values, 1,
+                                 self.config.slots, level)
         self._record("encrypt", (), sv, 0)
         return sv
 

@@ -790,9 +790,11 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     the activation-derivative grid and the error signal are slice cmults
     whose slots one-hot cmults read (9); the first placement of each of the
     two matmuls starts its accumulator (2), and so does the first product
-    of each of the m + c gradient rows (7); the rotations read are the
-    shifted partial sums of the output matmul's windowed sums over 1 + m = 5
-    slots, one per column (3)."""
+    of each of the m + c gradient rows (7); the m + c weight rows, encrypted
+    at set-up, and the bias ones of the hidden re-layout are first read in
+    the step (8); the rotations read are the shifted partial sums of the
+    output matmul's windowed sums over 1 + m = 5 slots, one per column
+    (3)."""
     from henn.data import Batch, one_hot
     from henn.enc_train import EncryptedTrainer
     from henn.losses import LossSpec
@@ -823,4 +825,4 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     monkeypatch.setattr(RotatedVector, "slots", property(counted_rotation))
     trainer.iterate()
     assert dict(built) == {"sparse pattern slice": 9, "sparse pattern one-hot": 2,
-                           "sparse float slice": 7, "rotation": 3}
+                           "sparse float slice": 15, "rotation": 3}

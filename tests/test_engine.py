@@ -15,7 +15,7 @@ from henn.engine import (EngineConfig, OpTrace, PlainMask, RotatedVector, SlotEn
                          SparseVector, UniformVector, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
-from conftest import bits
+from conftest import bits, make_classification_batch
 
 
 def test_config_validation():
@@ -35,6 +35,10 @@ def test_encrypt_pads_and_roundtrips(exact8):
     v = exact8.encrypt([1, 2, 3])
     assert np.array_equal(exact8.decrypt(v), [1, 2, 3, 0, 0, 0, 0, 0])
     assert np.array_equal(exact8.decrypt(exact8.encrypt([])), np.zeros(8))
+    vals = np.array([5.0, 6.0])
+    w = exact8.encrypt(vals)
+    vals[0] = 9.0                                  # the vector keeps its own copy
+    assert np.array_equal(exact8.decrypt(w), [5, 6, 0, 0, 0, 0, 0, 0])
     with pytest.raises(InputTooLong):
         exact8.encrypt(np.arange(9))
 
@@ -690,8 +694,8 @@ def test_lazy_forms_keep_the_trace():
 
 @st.composite
 def structured_mask(draw, size):
-    """(a one-hot or slice PlainMask of the given size, its index, its value
-    as cmult quantizes it on the leveled backend)."""
+    """(a one-hot or slice PlainMask of the given size, its index, its
+    value)."""
     if draw(st.booleans()):
         index = draw(st.integers(-size, size - 1))
     else:
@@ -713,11 +717,11 @@ def ref_cmult(eng, x, index, value):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_structured_cmult_of_dense_source_matches_dense(data):
-    """cmult of a dense, unrotated source by a one-hot or slice mask is
-    sparse over the source's own zero pattern, whose -0.0, NaN and
-    infinities come from the source; add and sub consume it unread, it is
-    read before the op, after it or never, and its rotate_add doublings
-    (roll_fill) match the dense composition too."""
+    """cmult of an unrotated source by a one-hot or slice mask is sparse
+    over the source's own zero pattern, whose -0.0, NaN and infinities come
+    from the source; add and sub consume it unread, it is read before the
+    op, after it or never, and its rotate_add doublings (roll_fill) match
+    the dense composition too."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     eng = lazy_engine(backend, size)
@@ -795,16 +799,12 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     the step (8); the rotations read are the shifted partial sums of the
     output matmul's windowed sums over 1 + m = 5 slots, one per column
     (3)."""
-    from henn.data import Batch, one_hot
     from henn.enc_train import EncryptedTrainer
     from henn.losses import LossSpec
     from henn.nn import init_params
 
-    rng = np.random.default_rng(0)
     n, d, c, m = 8, 3, 3, 4
-    X = np.hstack([np.ones((n, 1)), rng.uniform(0.0, 1.0, (n, d))])
-    labels = np.arange(n) % c
-    batch = Batch(X, one_hot(labels, c), "classification", class_count=c, labels=labels)
+    batch = make_classification_batch(np.random.default_rng(0), n, d, c)
     eng = lazy_engine("leveled", 64)
     trainer = EncryptedTrainer(eng, batch, init_params(d, m, c, 0, eta=0.1), LossSpec("sle2"))
 

@@ -10,13 +10,13 @@ when the budget floor(logQ / logp) runs out.  No lattice noise is modeled, so
 all arithmetic is deterministic.
 
 The slot arithmetic runs through one numpy kernel path (``_kernels``); each
-op makes one pass over its operands.  A PlainMask is either dense (one value
+kernel makes one pass over its operands.  A PlainMask is either dense (one value
 per slot) or structured: one value on the slots picked by one index
 expression (an int or a slice) and +0.0 elsewhere, with no dense array.  The
 mask builders in ``encoding`` make structured masks.  On the leveled backend
 ``cmult`` quantizes its mask on each call, for a structured mask one scalar.
 
-Besides the dense form, a result can take one of three lazy forms, which
+Besides the dense form, a result can take one of four lazy forms, which
 hold what defines their slots instead of the slots themselves:
 
 * uniform (``UniformVector``): every slot holds one value.  ``add``, ``sub``
@@ -33,6 +33,8 @@ hold what defines their slots instead of the slots themselves:
   zero pattern ``src.slots * 0.0`` rotated by ``k``, which is bit for bit
   ``rotate(src, k) * 0.0`` since the product is slotwise; ``_zero`` caches
   the pattern on the source, so the n placements of one source share it.
+* pending sum (``SumVector``): a base vector and the window-1 sparse terms
+  added to it or subtracted from it, in order.
 
 ``encrypt`` gives a sparse vector of its values on the first slots and +0.0
 elsewhere, so encrypting a short vector allocates no slots.  Every
@@ -51,21 +53,56 @@ other x is scanned once (``_support``), and a support of more than an eighth
 of the slots takes the dense kernel (the measured crossover,
 ``BENCH_scalar_kernels.json``, section ``product_support``).  A row cut from
 a matrix with negative entries (zscore-scaled inputs) takes the scan, which
-adds a -0.0 slot for each of them.  ``add``/``sub`` with an unread window-1
-sparse right operand make one pass, ``ufunc(a, zero)`` or ``ufunc(a,
-rotate(pattern, k))`` through the two wrap-around slices, and then apply the
-values on the support: the placements of the forward matmuls (``linalg``),
-the gradient sums in ``enc_train`` and the masked terms of its update.
+adds a -0.0 slot for each of them.
+
+``add``/``sub`` with an unread window-1 sparse right operand give a pending
+sum: the placements of the forward matmuls (``linalg``), the gradient sums
+in ``enc_train`` and the masked terms of its update.  Adding another such
+term to an unread pending sum gives a longer one; its terms are a list that
+the shorter sum shares, holding only its first entries.  ``sub`` fits the
+same form, because x - y is x + (-y) bit for bit: only the sign of the
+term's zeros flips.  Reading the slots builds the chain in one pass:
+
+1. copy the base, as ``base + -0.0``: that is every slot unchanged, and
+   every NaN quieted, as any add quiets it;
+2. fix the signed zeros.  With finite operands, x + (+-0.0) is x for every
+   x that is not a zero, and two zeros add to -0.0 only when both are
+   -0.0; a sum that is zero after a non-zero operand is exact and so +0.0.
+   Adding a signed zero therefore commutes with every other addition, and
+   only a -0.0 slot of the base can change: it stays -0.0 only while every
+   term has -0.0 there.  A term's support slots count as -0.0 here, since
+   they take a value, not a zero; a zero slot j of a pattern term has the
+   sign bit of ``src`` at ``(j + k) % size``.  The candidates, the -0.0
+   slots of the base, are usually gone after a few terms;
+3. apply the values on each term's support, in term order, with the
+   operation of its add or sub: numpy's scalar or array arithmetic, as a
+   one-term sum would.
+
+A NaN or infinite zero, in a source or a float zero, breaks that argument
+(NaN + x keeps one NaN's bits, which an operand order decides), so such a
+sum replays its terms one pass each: ``ufunc(x, zero)`` or ``ufunc(x,
+rotate(pattern, k))`` through the two wrap-around slices, then the values,
+as each add or sub alone does.  A pending sum holds terms over one source,
+or float zeros only: a term over another source builds the sum first and
+starts a new one on it.  Of a finite source it keeps only the sign bits,
+eight to a byte (``_signs``, 4 KB at 32768 slots), and of a term only its
+values and support, so an unread sum pins no full-width vector besides its
+base: not a matmul column's block sums, nor the gradient row that a weight
+update subtracts.
 
 Every other combination reads ``slots`` and takes the dense path.  Reading
 ``slots`` of a lazy vector replays the dense composition, caches the
 read-only result on the vector and returns it, so both paths give the same
-bits; a rotation then drops its source.  That cache, and the finiteness,
-support, zero pattern and its sign that ``_all_finite``, ``_support``,
-``_zero`` and ``_zero_is_plus`` cache, are the only state written after
-construction; filling each is idempotent, so two threads that race on it
-both see the same values.  Every op is still one engine call with its own
-uid, level and trace records, whatever the form of its operands.
+bits; a rotation then drops its source, and a pending sum its base and
+terms.  That cache, and the finiteness, support, zero pattern, its sign and
+the sign bits that ``_all_finite``, ``_support``, ``_zero``,
+``_zero_is_plus`` and ``_signs`` cache, are the only state written after
+construction, besides the term list that pending sums share; filling each
+is idempotent, so two threads that race on it both see the same values.
+The list only grows, and a sum that extends it checks that its term landed
+at its own index, and copies its prefix otherwise.  Every op is still one
+engine call with its own uid, level and trace records, whatever the form of
+its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -128,20 +165,22 @@ class SlotVector:
     build ``slots`` on first read.
     """
 
-    # _finite, _plus, _support, _zero: see _all_finite, _zero_is_plus,
-    # _support and _zero; cached on first need (unset until then)
-    __slots__ = ("slots", "level", "scale_bits", "uid", "_finite", "_plus", "_support",
-                 "_zero")
+    # _finite, _plus, _signs, _support, _zero: see _all_finite,
+    # _zero_is_plus, _signs, _support and _zero; cached on first need (unset
+    # until then)
+    __slots__ = ("slots", "size", "level", "scale_bits", "uid", "_finite", "_plus",
+                 "_signs", "_support", "_zero")
 
     def __init__(self, slots: np.ndarray, level, scale_bits, uid: int):
         slots.flags.writeable = False
         self.slots = slots
+        self.size = slots.shape[0]
         self.level = level            # None on the exact backend
         self.scale_bits = scale_bits  # None on the exact backend
         self.uid = uid
 
     def __len__(self):
-        return self.slots.shape[0]
+        return self.size
 
     def __repr__(self):
         head = np.array2string(self.slots[:4], precision=6)
@@ -152,7 +191,7 @@ class _LazyVector(SlotVector):
     """A SlotVector whose slots are built by ``_build`` on first read."""
 
     # Subclasses set size, level, scale_bits, uid and _cache = None.
-    __slots__ = ("size", "_cache")
+    __slots__ = ("_cache",)
 
     @property
     def slots(self) -> np.ndarray:
@@ -162,9 +201,6 @@ class _LazyVector(SlotVector):
             out.flags.writeable = False
             self._cache = out
         return out
-
-    def __len__(self):
-        return self.size
 
 
 class UniformVector(_LazyVector):
@@ -237,7 +273,8 @@ class SparseVector(_LazyVector):
 
     def _build(self):
         if self.src is None:
-            out = np.full(self.size, self.zero)
+            # np.zeros leaves the pages that no value reaches unmapped
+            out = np.zeros(self.size) if _is_plus(self.zero) else np.full(self.size, self.zero)
         elif self.k:
             out = _kernels.rotate(_zero(self.src), self.k)
         else:
@@ -248,6 +285,103 @@ class SparseVector(_LazyVector):
             out = _kernels.rotate_add(out, step)
             step *= 2
         return out
+
+
+class SumVector(_LazyVector):
+    """``base`` plus window-1 sparse terms, in order, each an add or a sub;
+    reading the slots builds them in one pass (``_build``) and drops what
+    they were built from.  A term is ``(ufunc, scalar_op, k, zero, support,
+    values)``, a sparse vector's fields without its source.  The terms have
+    one ``source``: the sign bits of their common source (``_signs``) when it
+    is finite, the source itself when it is not, or None when every term has
+    a float zero."""
+
+    # _pending: (base, terms, count, source) until built, then None; the
+    # vector holds the first count entries of terms, a list that longer sums
+    # may share
+    __slots__ = ("_pending",)
+
+    def __init__(self, base, terms, count, source, level, scale_bits, uid):
+        self.size = base.size
+        self._pending = (base, terms, count, source)
+        self.level = level
+        self.scale_bits = scale_bits
+        self.uid = uid
+        self._cache = None
+
+    @property
+    def slots(self) -> np.ndarray:
+        # as for RotatedVector: _pending is read once, cleared after _cache
+        pending = self._pending
+        if pending is not None:
+            base, terms, count, source = pending
+            out = self._build(base, terms[:count], source)
+            out.flags.writeable = False
+            self._cache = out
+            self._pending = None
+        return self._cache
+
+    def _build(self, base, terms, source):
+        """The slots of base and terms: one pass when every zero is finite,
+        else one pass per term (see the module docstring)."""
+        if source is None:
+            finite = all(math.isfinite(zero) for _, _, _, zero, _, _ in terms)
+        else:
+            finite = type(source) is np.ndarray
+        if not finite:
+            pattern = None if source is None else _zero(source)
+            x = base.slots
+            for ufunc, scalar_op, k, zero, support, values in terms:
+                if pattern is None:
+                    out = ufunc(x, zero)
+                else:
+                    out = _kernels.rotate_combine(ufunc, x, pattern, k)
+                out[support] = scalar_op(x[support], values)
+                x = out
+            return x
+        out = base.slots + -0.0          # x + -0.0 is x, with any NaN quieted
+        minus = np.flatnonzero(out.view(np.uint64) == _MINUS_ZERO)
+        for ufunc, _, k, zero, support, _ in terms:
+            if not minus.size:
+                break
+            # the candidates where the term adds +0.0: a zero, not a value
+            if source is None:
+                if _is_plus(zero) == (ufunc is np.subtract):
+                    continue
+                cleared = ~_in_support(minus, support, self.size)
+            else:
+                at = (minus + k) % self.size
+                minus_zero = (source[at >> 3] >> (at & 7)) & 1
+                cleared = minus_zero == (ufunc is np.subtract)
+                cleared[cleared] = ~_in_support(minus[cleared], support, self.size)
+            out[minus[cleared]] = 0.0
+            minus = minus[~cleared]
+        for _, scalar_op, _, _, support, values in terms:
+            out[support] = scalar_op(out[support], values)
+        return out
+
+
+_MINUS_ZERO = 0x8000000000000000      # the bits of -0.0
+
+
+def _is_plus(zero: float) -> bool:
+    """Whether the float zero is +0.0."""
+    return zero == 0.0 and math.copysign(1.0, zero) > 0
+
+
+def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
+    """Whether each of the sorted slot indices lies in support (an int, a
+    slice or an index array)."""
+    if not isinstance(support, np.ndarray):
+        picked = range(size)[support]
+        support = ([picked] if type(picked) is int
+                   else np.arange(picked.start, picked.stop, picked.step))
+    inside = np.zeros(slots.shape[0], dtype=bool)
+    if slots.shape[0]:
+        pos = np.searchsorted(slots, support)
+        pos[pos == slots.shape[0]] = 0
+        inside[pos[slots[pos] == support]] = True
+    return inside
 
 
 def _all_finite(v: SlotVector) -> bool:
@@ -279,6 +413,17 @@ def _zero(v: SlotVector) -> np.ndarray:
     return zero
 
 
+def _signs(v: SlotVector) -> np.ndarray:
+    """The sign bits of v's slots, eight to a byte (slot j is bit j % 8 of
+    byte j // 8); cached on v."""
+    signs = getattr(v, "_signs", None)
+    if signs is None:
+        signs = np.packbits(np.signbit(v.slots), bitorder="little")
+        signs.flags.writeable = False
+        v._signs = signs
+    return signs
+
+
 def _support(v: SlotVector):
     """The indices of the slots of v that are not +0.0 (-0.0, NaN and the
     infinities count: their bit patterns are not all zero), or None when
@@ -303,8 +448,7 @@ def _sparse(v: SlotVector):
     maps as it maps the slots outside.  Any other v is scanned
     (``_support``)."""
     if type(v) is SparseVector and v.window == 1 and (
-            _zero_is_plus(v.src) if v.src is not None
-            else v.zero == 0.0 and math.copysign(1.0, v.zero) > 0):
+            _zero_is_plus(v.src) if v.src is not None else _is_plus(v.zero)):
         return v.support, v.values
     support = _support(v)
     return None if support is None else (support, v.slots[support])
@@ -509,8 +653,8 @@ class SlotEngine:
             self.trace.record(op, tuple(i.uid for i in ins), out.uid, consumed, out.level)
 
     def _check_pair(self, a: SlotVector, b) -> None:
-        if len(a) != len(b):
-            raise LengthMismatch(f"{len(a)} vs {len(b)} slots")
+        if a.size != b.size:
+            raise LengthMismatch(f"{a.size} vs {b.size} slots")
 
     def _consume(self, op, a: SlotVector, b: SlotVector | None = None):
         """The level of a result that rescales once: one below its lower
@@ -549,17 +693,33 @@ class SlotEngine:
         if type(a) is UniformVector and type(b) is UniformVector:
             sv = self._uniform(scalar_op(a.value, b.value), a.size, level)
         elif type(b) is SparseVector and b._cache is None and b.window == 1:
-            x = a.slots
-            if b.src is None:
-                out = ufunc(x, b.zero)
-            else:
-                out = _kernels.rotate_combine(ufunc, x, _zero(b.src), b.k)
-            out[b.support] = scalar_op(x[b.support], b.values)
-            sv = self._new(out, level)
+            sv = self._pending_sum(a, (ufunc, scalar_op, b.k, b.zero, b.support, b.values),
+                                   b.src, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
         self._record(op, (a, b), sv, 0)
         return sv
+
+    def _pending_sum(self, a: SlotVector, term, src, level) -> SumVector:
+        """a plus the term of a sparse vector over src (None for a float
+        zero), unbuilt.  An unread sum with the term's source takes the term
+        as one more; an unread sum with another source is built first and,
+        like any other a, is the base of a new sum."""
+        source = src if src is None or not _all_finite(src) else _signs(src)
+        pending = a._pending if type(a) is SumVector else None
+        if pending is not None and pending[3] is source:
+            base, terms, count, _ = pending
+            if len(terms) == count:
+                terms.append(term)
+            if terms[count] is not term:     # a longer sum already shares the list
+                terms = terms[:count] + [term]
+            count += 1
+        else:
+            if pending is not None:
+                a.slots
+            base, terms, count = a, [term], 1
+        bits = self.config.logp if self._leveled else None
+        return SumVector(base, terms, count, source, level, bits, next(self._uid))
 
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise sum; leveled result drops to the lower operand level."""

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,7 @@ from henn import _kernels
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
 from henn.engine import (EngineConfig, OpTrace, PlainMask, RotatedVector, SlotEngine,
-                         SparseVector, UniformVector, depth_report)
+                         SparseVector, SumVector, UniformVector, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits, make_classification_batch
@@ -633,10 +633,11 @@ def test_lazy_fast_paths_build_no_slots(backend):
     """The lazy paths that training and dvr_matmul take build no slots: two
     uniform operands of add, sub and mult give a uniform vector, mult reads a
     uniform left operand as one value, a uniform times a sparse row is a
-    sparse product that add consumes unread, and a one-hot cmult of a
-    rotation, added unread, builds neither the rotation nor the sparse
-    vector but one zero pattern of the source; a slice cmult of a rotation
-    of a non-negative source is a sparse row too."""
+    sparse product that add consumes unread, and one-hot cmults of
+    rotations, added unread, are terms of one pending sum, whose build
+    reads neither the rotations nor the terms and makes no zero pattern of
+    the source; a slice cmult of a rotation of a non-negative source is a
+    sparse row too."""
     eng = lazy_engine(backend, 4096)
     a = eng.encrypt(np.linspace(-1.0, 1.0, 4096))
     d = eng.encrypt(np.linspace(2.0, 3.0, 4096))
@@ -660,10 +661,10 @@ def test_lazy_fast_paths_build_no_slots(backend):
         acc = eng.add(acc, f)
         assert type(f) is SparseVector and f._cache is None
         assert r._cache is None and r.src is sums
-        if k == 3:
-            zero = sums._zero
-    assert sums._zero is zero                     # one zero pattern per source
-    assert getattr(r, "_zero", None) is None
+        assert type(acc) is SumVector and acc._cache is None
+    acc.slots
+    assert f._cache is None and r._cache is None
+    assert getattr(sums, "_zero", None) is None   # no zero pattern is built
     # a row cut from a rotation of a non-negative source: an unread sparse row
     xm = eng.encrypt(np.linspace(0.0, 1.0, 4096))
     r = eng.rotate(xm, 10)
@@ -786,6 +787,150 @@ def test_uniform_times_structured_cmult_matches_dense(data):
     assert bits(p.slots) == bits(want_p)
 
 
+@st.composite
+def sum_chain(draw):
+    """A plan for a chain of adds and subs of window-1 sparse terms: the
+    backend and size, two sources, a base, and steps.  A step adds or
+    subtracts a one-hot or slice cmult of a rotation of either source, a
+    uniform times a short encrypted row (slice support) or a dense row
+    (index-array support, or the dense kernel past an eighth of the slots),
+    or again an earlier term; it continues the latest sum or an earlier one,
+    and may read the sum afterwards."""
+    backend = draw(st.sampled_from(["exact", "leveled"]))
+    size = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    sources = []
+    for _ in range(2):
+        vals = draw(arrays(np.float64, size, elements=ELEMENTS[draw(st.sampled_from(
+            sorted(ELEMENTS)))]))
+        if draw(st.booleans()):
+            for i in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+                vals[i] = draw(st.sampled_from([-0.0, float("nan"), float("inf"),
+                                                float("-inf")]))
+        sources.append(vals)
+    base = draw(st.sampled_from(["encrypted", "first term", "uniform"]))
+    # mostly finite: a non-finite t, and so a NaN float zero, makes the sum replay
+    t_values = (st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 5e-324, -0.5, 1e300])
+                | st.sampled_from(SPECIAL))
+    base_vals = draw(arrays(np.float64, size, elements=st.sampled_from([0.0, -0.0]) | t_values))
+    # one family of terms makes long sums; mixing them builds a sum per switch
+    kinds = draw(st.sampled_from([["one-hot", "slice"], ["row", "dense row"],
+                                  ["one-hot", "slice", "row", "dense row"]]))
+    one_source = draw(st.booleans())
+    steps = []
+    for n in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds + (["again"] if n else [])))
+        step = {"op": draw(st.sampled_from(["add", "sub"])), "kind": kind,
+                "read": draw(st.integers(0, 3)) == 0,
+                "from": n if draw(st.integers(0, 4)) else draw(st.integers(0, n))}
+        if kind == "again":
+            step["term"] = draw(st.integers(0, n - 1))
+        elif kind in ("one-hot", "slice"):
+            step["src"] = 0 if one_source else draw(st.integers(0, 1))
+            step["k"] = draw(st.integers(-size, size))
+            mask, step["index"], step["value"] = draw(structured_mask(size))
+            if (type(step["index"]) is int) != (kind == "one-hot"):
+                step["kind"] = "slice" if kind == "one-hot" else "one-hot"
+        else:
+            step["t"] = draw(t_values)
+            if kind == "row":
+                step["row"] = draw(arrays(np.float64, draw(st.integers(0, size)),
+                                          elements=st.sampled_from([0.0, -0.0]) | t_values))
+            else:
+                row = np.zeros(size)
+                for i in draw(st.lists(st.integers(0, size - 1), max_size=size // 4)):
+                    row[i] = draw(t_values)
+                step["row"] = row
+        steps.append(step)
+    return backend, size, sources, base, base_vals, steps
+
+
+def run_sum_chain(plan, eager):
+    """Run a sum_chain plan; eager reads each term before its op, which takes
+    the dense path.  Returns the trace entries and the checks: (name, got,
+    want) for every read of the sum and the final result, against a numpy
+    composition."""
+    backend, size, sources, base, base_vals, steps = plan
+    trace = OpTrace()
+    eng = lazy_engine(backend, size, trace)
+    level = eng.config.level_budget if backend == "leveled" else None
+    srcs = [eng.encrypt(v) for v in sources]
+    terms, wants, checks = [], [], []
+
+    def term(step):
+        if step["kind"] == "again":
+            return terms[step["term"]], wants[step["term"]]
+        if step["kind"] in ("one-hot", "slice"):
+            src = srcs[step["src"]]
+            mask = PlainMask.structured(size, step["index"], step["value"])
+            want = ref_cmult(eng, np.roll(src.slots, -(step["k"] % size)), step["index"],
+                             step["value"])
+            return eng.cmult(eng.rotate(src, step["k"]), mask), want
+        u = eng._uniform(step["t"], size, level)
+        if step["kind"] == "row":
+            row = eng.encrypt(step["row"])
+        else:
+            row = eng._new(step["row"].copy(), level)
+        return eng.mult(u, row), ref_mul(eng, np.full(size, step["t"]), row.slots)
+
+    if base == "first term":
+        acc, want = term(steps[0])
+        terms.append(acc)
+        wants.append(want)
+        steps = steps[1:]
+    elif base == "uniform":
+        acc = eng._uniform(float(base_vals[0]), size, level)
+        want = np.full(size, float(base_vals[0]))
+    else:
+        acc = eng.encrypt(base_vals)
+        want = lazy_engine(backend, size).encrypt(base_vals).slots
+    sums = [(acc, want)]
+    for n, step in enumerate(steps):
+        t, t_want = term(step)
+        terms.append(t)
+        wants.append(t_want)
+        if eager:
+            t.slots
+        acc, want = sums[min(step["from"], len(sums) - 1)]
+        if step["op"] == "add":
+            acc, want = eng.add(acc, t), want + t_want
+        else:
+            acc, want = eng.sub(acc, t), want - t_want
+        sums.append((acc, want))
+        if step["read"] or eager:
+            checks.append((f"step {n}", acc.slots, want))
+    checks.append(("result", acc.slots, want))
+    return trace.entries, checks
+
+
+def row_step(n, value):
+    return {"op": "add", "kind": "row", "read": False, "from": n, "t": 1.0,
+            "row": np.array([value])}
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(sum_chain())
+# the values' order decides the sum: (1 + 2**-53) + 2**-53 is 1
+@example(("exact", 4, [np.zeros(4)] * 2, "encrypted", np.zeros(4),
+          [row_step(0, 1.0), row_step(1, 2.0**-53), row_step(2, 2.0**-53)]))
+# a -0.0 value on a support slot whose zero would be +0.0 keeps the base's -0.0
+@example(("exact", 2, [np.ones(2)] * 2, "encrypted", np.array([-0.0, -0.0]),
+          [{"op": "add", "kind": "one-hot", "read": False, "from": 0, "src": 0, "k": 0,
+            "index": 0, "value": -0.0}]))
+def test_sum_chains_match_dense_composition_and_eager_trace(plan):
+    """A chain of adds and subs of unread window-1 sparse terms (a pending
+    sum, built on first read) gives the bits of the slotwise composition,
+    at every read of an intermediate sum and at the end: sources with -0.0,
+    NaN and infinities, float zeros of either sign, a term added twice, and
+    switches between sources.  Its trace is that of the same ops run with
+    every term read first."""
+    lazy_entries, checks = run_sum_chain(plan, eager=False)
+    eager_entries, eager_checks = run_sum_chain(plan, eager=True)
+    assert lazy_entries == eager_entries
+    for name, got, want in checks + eager_checks:
+        assert bits(got) == bits(want), name
+
+
 def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     """Traffic guard: one leveled training step builds exactly these lazy
     vectors, so a fast path that silently falls back to a build shows here
@@ -798,7 +943,10 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     at set-up, and the bias ones of the hidden re-layout are first read in
     the step (8); the rotations read are the shifted partial sums of the
     output matmul's windowed sums over 1 + m = 5 slots, one per column
-    (3)."""
+    (3).  The pending sums built (16) are one per result column of the two
+    matmuls (7), one per gradient row (7), the hidden re-layout and the
+    error signal; the m + c updated weight rows are pending sums that the
+    step leaves unread."""
     from henn.enc_train import EncryptedTrainer
     from henn.losses import LossSpec
     from henn.nn import init_params
@@ -809,7 +957,7 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     trainer = EncryptedTrainer(eng, batch, init_params(d, m, c, 0, eta=0.1), LossSpec("sle2"))
 
     built = Counter()
-    build, rotated = SparseVector._build, RotatedVector.slots.fget
+    build, rotated, summed = SparseVector._build, RotatedVector.slots.fget, SumVector._build
 
     def counted_build(v):
         zero = "float" if v.src is None else "pattern"
@@ -817,12 +965,51 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
         built[f"sparse {zero} {support}"] += 1
         return build(v)
 
+    def counted_sum(v, base, terms, source):
+        built["sum"] += 1
+        return summed(v, base, terms, source)
+
     def counted_rotation(v):
         built["rotation"] += v.src is not None
         return rotated(v)
 
     monkeypatch.setattr(SparseVector, "_build", counted_build)
     monkeypatch.setattr(RotatedVector, "slots", property(counted_rotation))
+    monkeypatch.setattr(SumVector, "_build", counted_sum)
     trainer.iterate()
     assert dict(built) == {"sparse pattern slice": 9, "sparse pattern one-hot": 2,
-                           "sparse float slice": 15, "rotation": 3}
+                           "sparse float slice": 15, "rotation": 3, "sum": 16}
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_matmul_builds_its_accumulator_once_per_result_column(backend, monkeypatch):
+    """Traffic guard: vr_matmul adds the n placed values of each of its p
+    result columns into its accumulator as terms of one pending sum over
+    that column's block sums, so the accumulator costs at most p full-width
+    passes (sum builds, and rotate_combine calls that combine two arrays,
+    which rotate_add does not), not one per placed value."""
+    from henn.encoding import decode_matrix, encode_matrix
+    from henn.linalg import vr_matmul
+
+    n, k, p = 16, 8, 6
+    rng = np.random.default_rng(0)
+    A, B = rng.uniform(-1.0, 1.0, (n, k)), rng.uniform(-1.0, 1.0, (k, p))
+    eng = lazy_engine(backend, 4096)
+    a = encode_matrix(eng, A, Layout.FULL_MATRIX)
+    b_t = encode_matrix(eng, B.T, Layout.FULL_MATRIX)
+    passes = Counter()
+    combine, summed = _kernels.rotate_combine, SumVector._build
+
+    def counted_combine(ufunc, x, y, shift):
+        passes["combine"] += x is not y
+        return combine(ufunc, x, y, shift)
+
+    def counted_sum(v, base, terms, source):
+        passes["sum"] += 1
+        return summed(v, base, terms, source)
+
+    monkeypatch.setattr(_kernels, "rotate_combine", counted_combine)
+    monkeypatch.setattr(SumVector, "_build", counted_sum)
+    product = decode_matrix(eng, vr_matmul(eng, a, b_t))
+    assert np.max(np.abs(product - A @ B)) < 1e-6
+    assert passes["sum"] + passes["combine"] <= p

@@ -90,8 +90,8 @@ def _load_config_file(path):
 
 def _engine_config(opts) -> EngineConfig:
     """Engine parameters of an encrypted-backend run."""
-    return EngineConfig(logN=opts["logn"], logQ=opts["logq"], logp=opts["logp"],
-                        slots=opts["slots"], backend=opts["backend"])
+    return EngineConfig(logQ=opts["logq"], logp=opts["logp"], slots=opts["slots"],
+                        backend=opts["backend"])
 
 
 def _load_dataset(opts):
@@ -122,8 +122,8 @@ def _default_scheme(name):
 TRAIN_DEFAULTS = {
     "dataset": "iris", "loss": "sle2", "hidden": 0, "lr": 0.01, "iters": 2,
     "backend": "plain", "seed": 0, "l2": 0.0, "scheme": "", "subset": 0,
-    "data_dir": "", "out": "henn-out", "logn": 16, "logq": 990, "logp": 30,
-    "slots": 32768, "trace": False, "yes_huge": False,
+    "data_dir": "", "out": "henn-out", "logq": 990, "logp": 30, "slots": 32768,
+    "trace": False, "yes_huge": False,
 }
 
 
@@ -188,8 +188,7 @@ def _write_series(path, report, task):
 COMPARE_DEFAULTS = {
     "dataset": "iris", "loss": "sle2", "hidden": 8, "lr": 0.01, "iters": 2,
     "seed": 0, "seed_b": -1, "l2": 0.0, "scheme": "", "subset": 0, "data_dir": "",
-    "out": "henn-out", "tolerance": 1e-9, "logn": 16, "logq": 990, "logp": 30,
-    "slots": 0,
+    "out": "henn-out", "tolerance": 1e-9, "logq": 990, "logp": 30, "slots": 0,
 }
 
 

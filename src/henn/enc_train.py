@@ -252,8 +252,9 @@ class EncryptedTrainer:
 
     def current_weights(self):
         eng = self.engine
-        W = np.stack([eng.decrypt(em.parts[0])[: self.u] for em in self.W_enc])
-        V = np.stack([eng.decrypt(em.parts[0])[: self.wz] for em in self.V_enc])
+        # copy the kept slots, so that no full-width decryption outlives its row
+        W = np.stack([eng.decrypt(em.parts[0])[: self.u].copy() for em in self.W_enc])
+        V = np.stack([eng.decrypt(em.parts[0])[: self.wz].copy() for em in self.V_enc])
         return W, V
 
     def min_level(self):

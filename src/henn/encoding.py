@@ -89,7 +89,7 @@ def decode_matrix(engine: SlotEngine, em: EncodedMatrix) -> np.ndarray:
     if em.layout in (Layout.FULL_MATRIX, Layout.REPEATED_ROW):
         flat = engine.decrypt(em.parts[0])
         return flat[: n * cols].reshape(n, cols).copy()
-    return np.stack([engine.decrypt(p)[:cols] for p in em.parts])
+    return np.stack([engine.decrypt(p)[:cols].copy() for p in em.parts])
 
 
 # --- mask builders ----------------------------------------------------------

@@ -31,8 +31,12 @@ hold what defines their slots instead of the slots themselves:
   an index array) and signed zeros elsewhere, then the ``rotate_add``
   doublings up to a ``window``.  The zeros are one float ``zero``, or the
   zero pattern ``src.slots * 0.0`` rotated by ``k``, which is bit for bit
-  ``rotate(src, k) * 0.0`` since the product is slotwise; ``_zero`` caches
-  the pattern on the source, so the n placements of one source share it.
+  ``rotate(src, k) * 0.0`` since the product is slotwise.  ``_pattern``
+  caches the pattern on the source in its smallest exact form, so the n
+  placements of one source that a pending sum adds share it: the float
+  +0.0 when every slot of the source is finite with a clear sign bit, else
+  the sign bits, eight to a byte, when every slot is finite, else the float
+  array, NaN included.
 * pending sum (``SumVector``): a base vector and the window-1 sparse terms
   added to it or subtracted from it, in order.
 
@@ -84,25 +88,23 @@ sum replays its terms one pass each: ``ufunc(x, zero)`` or ``ufunc(x,
 rotate(pattern, k))`` through the two wrap-around slices, then the values,
 as each add or sub alone does.  A pending sum holds terms over one source,
 or float zeros only: a term over another source builds the sum first and
-starts a new one on it.  Of a finite source it keeps only the sign bits,
-eight to a byte (``_signs``, 4 KB at 32768 slots), and of a term only its
-values and support, so an unread sum pins no full-width vector besides its
-base: not a matmul column's block sums, nor the gradient row that a weight
-update subtracts.
+starts a new one on it.  A term over a source whose pattern is +0.0 is a
+float-zero term.  Of a finite source the sum keeps only the pattern (the
+sign bits, 4 KB at 32768 slots), and of a term only its values and support,
+so an unread sum pins no full-width vector besides its base: not a matmul
+column's block sums, nor the gradient row that a weight update subtracts.
 
 Every other combination reads ``slots`` and takes the dense path.  Reading
 ``slots`` of a lazy vector replays the dense composition, caches the
 read-only result on the vector and returns it, so both paths give the same
 bits; a rotation then drops its source, and a pending sum its base and
-terms.  That cache, and the finiteness, support, zero pattern, its sign and
-the sign bits that ``_all_finite``, ``_support``, ``_zero``,
-``_zero_is_plus`` and ``_signs`` cache, are the only state written after
-construction, besides the term list that pending sums share; filling each
-is idempotent, so two threads that race on it both see the same values.
-The list only grows, and a sum that extends it checks that its term landed
-at its own index, and copies its prefix otherwise.  Every op is still one
-engine call with its own uid, level and trace records, whatever the form of
-its operands.
+terms.  That cache, and the zero pattern and support that ``_pattern`` and
+``_support`` cache, are the only state written after construction, besides
+the term list that pending sums share; filling each is idempotent, so two
+threads that race on it both see the same values.  The list only grows, and
+a sum that extends it checks that its term landed at its own index, and
+copies its prefix otherwise.  Every op is still one engine call with its
+own uid, level and trace records, whatever the form of its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -128,7 +130,6 @@ BACKENDS = ("exact", "leveled")
 class EngineConfig:
     """Engine parameters. Defaults mirror the reference experiment setup."""
 
-    logN: int = 16
     logQ: int = 990
     logp: int = 30
     slots: int = 32768
@@ -143,6 +144,12 @@ class EngineConfig:
             raise ValueError("logQ must be >= logp")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
+
+    @property
+    def logN(self) -> int:
+        """log2 of the ring degree N: log2(2 * slots), since CKKS packs N/2
+        slots."""
+        return self.slots.bit_length()
 
     @property
     def level_budget(self) -> int:
@@ -165,18 +172,15 @@ class SlotVector:
     build ``slots`` on first read.
     """
 
-    # _finite, _plus, _signs, _support, _zero: see _all_finite,
-    # _zero_is_plus, _signs, _support and _zero; cached on first need (unset
-    # until then)
-    __slots__ = ("slots", "size", "level", "scale_bits", "uid", "_finite", "_plus",
-                 "_signs", "_support", "_zero")
+    # _pattern, _support: see _pattern and _support; cached on first need
+    # (unset until then)
+    __slots__ = ("slots", "size", "level", "uid", "_pattern", "_support")
 
-    def __init__(self, slots: np.ndarray, level, scale_bits, uid: int):
+    def __init__(self, slots: np.ndarray, level, uid: int):
         slots.flags.writeable = False
         self.slots = slots
         self.size = slots.shape[0]
         self.level = level            # None on the exact backend
-        self.scale_bits = scale_bits  # None on the exact backend
         self.uid = uid
 
     def __len__(self):
@@ -190,7 +194,7 @@ class SlotVector:
 class _LazyVector(SlotVector):
     """A SlotVector whose slots are built by ``_build`` on first read."""
 
-    # Subclasses set size, level, scale_bits, uid and _cache = None.
+    # Subclasses set size, level, uid and _cache = None.
     __slots__ = ("_cache",)
 
     @property
@@ -208,11 +212,10 @@ class UniformVector(_LazyVector):
 
     __slots__ = ("value",)
 
-    def __init__(self, size, value: float, level, scale_bits, uid):
+    def __init__(self, size, value: float, level, uid):
         self.size = size
         self.value = value
         self.level = level
-        self.scale_bits = scale_bits
         self.uid = uid
         self._cache = None
 
@@ -226,12 +229,11 @@ class RotatedVector(_LazyVector):
 
     __slots__ = ("src", "k")
 
-    def __init__(self, src: SlotVector, k: int, level, scale_bits, uid):
+    def __init__(self, src: SlotVector, k: int, level, uid):
         self.size = len(src)
         self.src = src
         self.k = k
         self.level = level
-        self.scale_bits = scale_bits
         self.uid = uid
         self._cache = None
 
@@ -258,7 +260,7 @@ class SparseVector(_LazyVector):
 
     __slots__ = ("src", "k", "zero", "support", "values", "window")
 
-    def __init__(self, size, src, k, zero, support, values, window, level, scale_bits, uid):
+    def __init__(self, size, src, k, zero, support, values, window, level, uid):
         self.size = size
         self.src = src
         self.k = k
@@ -267,7 +269,6 @@ class SparseVector(_LazyVector):
         self.values = values
         self.window = window
         self.level = level
-        self.scale_bits = scale_bits
         self.uid = uid
         self._cache = None
 
@@ -276,7 +277,8 @@ class SparseVector(_LazyVector):
             # np.zeros leaves the pages that no value reaches unmapped
             out = np.zeros(self.size) if _is_plus(self.zero) else np.full(self.size, self.zero)
         elif self.k:
-            out = _kernels.rotate(_zero(self.src), self.k)
+            out = _kernels.rotate(self.src.slots, self.k)
+            out *= 0.0
         else:
             out = self.src.slots * 0.0
         out[self.support] = self.values
@@ -291,21 +293,20 @@ class SumVector(_LazyVector):
     """``base`` plus window-1 sparse terms, in order, each an add or a sub;
     reading the slots builds them in one pass (``_build``) and drops what
     they were built from.  A term is ``(ufunc, scalar_op, k, zero, support,
-    values)``, a sparse vector's fields without its source.  The terms have
-    one ``source``: the sign bits of their common source (``_signs``) when it
-    is finite, the source itself when it is not, or None when every term has
-    a float zero."""
+    values)``: a sparse vector's fields, with its float zero or its source's
+    zero pattern (``_pattern``) as ``zero``.  The terms have one ``source``:
+    that pattern, packed sign bits or a float array, or None when every term
+    has a float zero."""
 
     # _pending: (base, terms, count, source) until built, then None; the
     # vector holds the first count entries of terms, a list that longer sums
     # may share
     __slots__ = ("_pending",)
 
-    def __init__(self, base, terms, count, source, level, scale_bits, uid):
+    def __init__(self, base, terms, count, source, level, uid):
         self.size = base.size
         self._pending = (base, terms, count, source)
         self.level = level
-        self.scale_bits = scale_bits
         self.uid = uid
         self._cache = None
 
@@ -327,15 +328,14 @@ class SumVector(_LazyVector):
         if source is None:
             finite = all(math.isfinite(zero) for _, _, _, zero, _, _ in terms)
         else:
-            finite = type(source) is np.ndarray
+            finite = _finite(source)
         if not finite:
-            pattern = None if source is None else _zero(source)
             x = base.slots
             for ufunc, scalar_op, k, zero, support, values in terms:
-                if pattern is None:
+                if source is None:
                     out = ufunc(x, zero)
                 else:
-                    out = _kernels.rotate_combine(ufunc, x, pattern, k)
+                    out = _kernels.rotate_combine(ufunc, x, source, k)
                 out[support] = scalar_op(x[support], values)
                 x = out
             return x
@@ -364,9 +364,18 @@ class SumVector(_LazyVector):
 _MINUS_ZERO = 0x8000000000000000      # the bits of -0.0
 
 
-def _is_plus(zero: float) -> bool:
-    """Whether the float zero is +0.0."""
-    return zero == 0.0 and math.copysign(1.0, zero) > 0
+def _is_plus(zero) -> bool:
+    """Whether a float zero or a zero pattern (``_pattern``) is +0.0 in every
+    slot."""
+    return not isinstance(zero, np.ndarray) and zero == 0.0 and math.copysign(1.0, zero) > 0
+
+
+def _finite(zero) -> bool:
+    """Whether a float zero or a zero pattern (``_pattern``) is finite in
+    every slot."""
+    if isinstance(zero, np.ndarray):
+        return zero.dtype == np.uint8
+    return math.isfinite(zero)
 
 
 def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
@@ -384,44 +393,23 @@ def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
     return inside
 
 
-def _all_finite(v: SlotVector) -> bool:
-    """Whether every slot of v is finite; cached on v."""
-    finite = getattr(v, "_finite", None)
-    if finite is None:
-        finite = v._finite = bool(np.isfinite(v.slots).all())
-    return finite
-
-
-def _zero_is_plus(v: SlotVector) -> bool:
-    """Whether ``v.slots * 0.0`` is +0.0 in every slot: every slot is finite
-    with a clear sign bit (as a uint64, below the bits of +inf); cached on
-    v."""
-    plus = getattr(v, "_plus", None)
-    if plus is None:
-        plus = v._plus = bool((v.slots.view(np.uint64) < 0x7FF0000000000000).all())
-    return plus
-
-
-def _zero(v: SlotVector) -> np.ndarray:
-    """``v.slots * 0.0``: each slot's signed zero, NaN where it is not
-    finite; cached on v."""
-    zero = getattr(v, "_zero", None)
-    if zero is None:
-        zero = v.slots * 0.0
-        zero.flags.writeable = False
-        v._zero = zero
-    return zero
-
-
-def _signs(v: SlotVector) -> np.ndarray:
-    """The sign bits of v's slots, eight to a byte (slot j is bit j % 8 of
-    byte j // 8); cached on v."""
-    signs = getattr(v, "_signs", None)
-    if signs is None:
-        signs = np.packbits(np.signbit(v.slots), bitorder="little")
-        signs.flags.writeable = False
-        v._signs = signs
-    return signs
+def _pattern(v: SlotVector):
+    """``v.slots * 0.0`` in its smallest exact form, cached on v: the float
+    +0.0 when every slot is finite with a clear sign bit; else, when every
+    slot is finite, the sign bits packed eight to a byte (slot j is bit j % 8
+    of byte j // 8); else the float array itself, NaN included."""
+    pattern = getattr(v, "_pattern", None)
+    if pattern is None:
+        slots = v.slots
+        if np.isfinite(slots).all():
+            signs = np.signbit(slots)
+            pattern = np.packbits(signs, bitorder="little") if signs.any() else 0.0
+        else:
+            pattern = slots * 0.0
+        if type(pattern) is np.ndarray:
+            pattern.flags.writeable = False
+        v._pattern = pattern
+    return pattern
 
 
 def _support(v: SlotVector):
@@ -447,8 +435,8 @@ def _sparse(v: SlotVector):
     own, unbuilt; its support may also hold +0.0 slots, which a product by v
     maps as it maps the slots outside.  Any other v is scanned
     (``_support``)."""
-    if type(v) is SparseVector and v.window == 1 and (
-            _zero_is_plus(v.src) if v.src is not None else _is_plus(v.zero)):
+    if type(v) is SparseVector and v.window == 1 and _is_plus(
+            v.zero if v.src is None else _pattern(v.src)):
         return v.support, v.values
     support = _support(v)
     return None if support is None else (support, v.slots[support])
@@ -631,21 +619,18 @@ class SlotEngine:
         return v.slots.copy()
 
     def _new(self, slots: np.ndarray, level) -> SlotVector:
-        bits = self.config.logp if self._leveled else None
-        return SlotVector(slots, level, bits, next(self._uid))
+        return SlotVector(slots, level, next(self._uid))
 
     def _uniform(self, value: float, size: int, level) -> UniformVector:
-        bits = self.config.logp if self._leveled else None
-        return UniformVector(size, value, level, bits, next(self._uid))
+        return UniformVector(size, value, level, next(self._uid))
 
     def _sparse_vector(self, src, k, zero, support, values, window, size, level) -> SlotVector:
         """A sparse vector, or its one value as a uniform vector when that is
         exact (see the module docstring)."""
         if (window == size and type(support) is int and values != 0.0 and math.isfinite(values)
-                and (_all_finite(src) if src is not None else math.isfinite(zero))):
+                and _finite(zero if src is None else _pattern(src))):
             return self._uniform(values, size, level)
-        bits = self.config.logp if self._leveled else None
-        return SparseVector(size, src, k, zero, support, values, window, level, bits,
+        return SparseVector(size, src, k, zero, support, values, window, level,
                             next(self._uid))
 
     def _record(self, op, ins, out, consumed):
@@ -682,30 +667,31 @@ class SlotEngine:
 
         Two uniform operands give one float through scalar_op (operator.add
         or operator.sub), the same IEEE operation.  An unread window-1 sparse
-        right operand is never built: its zeros enter every slot in one pass
-        (ufunc with its float zero, or with its source's zero pattern,
-        ``_zero``, through the two wrap-around slices of the rotation by k),
-        and scalar_op then gives the slots of its support the results for its
-        values (numpy's scalar or array arithmetic, the same operation).
+        right operand is never built: it becomes a term of a pending sum
+        (``_pending_sum``).
         """
         self._check_pair(a, b)
         level = min(a.level, b.level) if self._leveled else None
         if type(a) is UniformVector and type(b) is UniformVector:
             sv = self._uniform(scalar_op(a.value, b.value), a.size, level)
         elif type(b) is SparseVector and b._cache is None and b.window == 1:
-            sv = self._pending_sum(a, (ufunc, scalar_op, b.k, b.zero, b.support, b.values),
-                                   b.src, level)
+            sv = self._pending_sum(a, ufunc, scalar_op, b, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
         self._record(op, (a, b), sv, 0)
         return sv
 
-    def _pending_sum(self, a: SlotVector, term, src, level) -> SumVector:
-        """a plus the term of a sparse vector over src (None for a float
-        zero), unbuilt.  An unread sum with the term's source takes the term
-        as one more; an unread sum with another source is built first and,
-        like any other a, is the base of a new sum."""
-        source = src if src is None or not _all_finite(src) else _signs(src)
+    def _pending_sum(self, a: SlotVector, ufunc, scalar_op, b: SparseVector,
+                     level) -> SumVector:
+        """a plus the window-1 sparse b as a term, unbuilt.  The term's zero
+        is b's float zero or its source's pattern (``_pattern``); a +0.0
+        pattern makes it a float-zero term, and any other pattern is the
+        sum's source.  An unread sum with the term's source takes the term as
+        one more; an unread sum with another source is built first and, like
+        any other a, is the base of a new sum."""
+        zero = b.zero if b.src is None else _pattern(b.src)
+        source = zero if isinstance(zero, np.ndarray) else None
+        term = (ufunc, scalar_op, b.k, zero, b.support, b.values)
         pending = a._pending if type(a) is SumVector else None
         if pending is not None and pending[3] is source:
             base, terms, count, _ = pending
@@ -718,8 +704,7 @@ class SlotEngine:
             if pending is not None:
                 a.slots
             base, terms, count = a, [term], 1
-        bits = self.config.logp if self._leveled else None
-        return SumVector(base, terms, count, source, level, bits, next(self._uid))
+        return SumVector(base, terms, count, source, level, next(self._uid))
 
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise sum; leveled result drops to the lower operand level."""
@@ -785,8 +770,7 @@ class SlotEngine:
 
         The result is a lazy ``RotatedVector``; reading its slots runs the
         rotation kernel."""
-        bits = self.config.logp if self._leveled else None
-        sv = RotatedVector(a, k % len(a), a.level, bits, next(self._uid))
+        sv = RotatedVector(a, k % len(a), a.level, next(self._uid))
         self._record("rotate", (a,), sv, 0)
         return sv
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,16 @@ def bits(x):
     x = np.array(x, dtype=np.float64)
     x[np.isnan(x)] = np.nan
     return x.shape, x.tobytes()
+
+
+def traced_peak(fn):
+    """The peak of the memory that fn's allocations hold, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_classification_batch(rng, n, d, c):

@@ -250,11 +250,11 @@ def test_compare_of_diverging_runs_keeps_both_halts_and_exits_non_finite(tmp_pat
 
 PARENT_OPTIONS = {
     "train": ["--backend", "--config", "--data-dir", "--dataset", "--hidden", "--iters",
-              "--l2", "--logn", "--logp", "--logq", "--loss", "--lr", "--out", "--scheme",
+              "--l2", "--logp", "--logq", "--loss", "--lr", "--out", "--scheme",
               "--seed", "--slots", "--subset", "--trace", "--yes-huge"],
-    "compare": ["--config", "--data-dir", "--dataset", "--hidden", "--iters", "--l2", "--logn",
-                "--logp", "--logq", "--loss", "--lr", "--out", "--scheme", "--seed", "--seed-b",
-                "--slots", "--subset", "--tolerance"],
+    "compare": ["--config", "--data-dir", "--dataset", "--hidden", "--iters", "--l2", "--logp",
+                "--logq", "--loss", "--lr", "--out", "--scheme", "--seed", "--seed-b", "--slots",
+                "--subset", "--tolerance"],
     "sle-experiment": ["--config", "--data-dir", "--dataset", "--epochs", "--hidden", "--losses",
                        "--lrs", "--out", "--repeats", "--scheme", "--seed", "--subset",
                        "--workers"],

@@ -26,6 +26,8 @@ from henn.encoding import (
 from henn.engine import EngineConfig, OpTrace, PlainMask, SlotEngine
 from henn.errors import IndexOutOfRange, MatrixTooLarge, WrongLayout
 
+from conftest import traced_peak
+
 
 def grid_engine(slots=64):
     return SlotEngine(EngineConfig(slots=slots, backend="exact"))
@@ -86,6 +88,19 @@ def test_decode_inverts_encode_all_layouts(n, cols, seed):
         assert np.array_equal(decode_matrix(eng, em), M)
     em = encode_matrix(eng, M[:1], Layout.REPEATED_ROW, repeat=n)
     assert np.array_equal(decode_matrix(eng, em), np.tile(M[:1], (n, 1)))
+
+
+def test_row_decode_holds_one_full_width_row_at_a_time():
+    """decode_matrix of a row-per-ciphertext matrix keeps a copy of each
+    row's columns only: its peak stays below half of rows x slots x 8 bytes,
+    which holding every full-width decryption until np.stack would exceed."""
+    n, slots = 24, 4096
+    eng = SlotEngine(EngineConfig(slots=slots, backend="exact"))
+    em = encode_matrix(eng, np.random.default_rng(0).uniform(-1, 1, (n, 5)),
+                       Layout.ROW_PER_CIPHERTEXT)
+    for row in em.parts:
+        row.slots                       # build the lazy rows outside the measurement
+    assert traced_peak(lambda: decode_matrix(eng, em)) < n * slots * 8 / 2
 
 
 # --- shifts ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from henn import _kernels
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
 from henn.engine import (EngineConfig, OpTrace, PlainMask, RotatedVector, SlotEngine,
-                         SparseVector, SumVector, UniformVector, depth_report)
+                         SparseVector, SumVector, UniformVector, _pattern, depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits, make_classification_batch
@@ -28,6 +28,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(backend="noisy")
     assert EngineConfig().level_budget == 33
+    assert EngineConfig().logN == 16 and EngineConfig(slots=4096).to_dict()["logN"] == 13
     assert EngineConfig(slots=16, backend="exact").slots == 16
 
 
@@ -47,7 +48,6 @@ def test_leveled_encrypt_quantizes():
     eng = SlotEngine(EngineConfig(slots=8, logQ=990, logp=30))
     v = eng.encrypt([0.1])
     assert v.level == 33 == eng.config.level_budget
-    assert v.scale_bits == 30
     assert v.slots[0] == round(0.1 * 2**30) / 2**30
     w = eng.encrypt([0.5, -0.5])
     dec = eng.decrypt(w)
@@ -664,7 +664,8 @@ def test_lazy_fast_paths_build_no_slots(backend):
         assert type(acc) is SumVector and acc._cache is None
     acc.slots
     assert f._cache is None and r._cache is None
-    assert getattr(sums, "_zero", None) is None   # no zero pattern is built
+    # of the source, only the sign bits are kept: no full-width zero pattern
+    assert sums._pattern.dtype == np.uint8 and sums._pattern.nbytes == 4096 // 8
     # a row cut from a rotation of a non-negative source: an unread sparse row
     xm = eng.encrypt(np.linspace(0.0, 1.0, 4096))
     r = eng.rotate(xm, 10)
@@ -691,6 +692,31 @@ def test_lazy_forms_keep_the_trace():
         assert (type(u) is UniformVector) != poison
         entries.append(trace.entries)
     assert entries[0] == entries[1]
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pattern_is_the_zero_pattern_in_its_smallest_form(data):
+    """``_pattern(v)`` is ``v.slots * 0.0``, bit for bit: the float +0.0
+    when every slot is finite with a clear sign bit, else the sign bits
+    packed eight to a byte when every slot is finite, else the float array;
+    it is cached on v."""
+    size = data.draw(SIZES)
+    kind = data.draw(st.sampled_from(sorted(ELEMENTS)))
+    v = lazy_engine("exact", size).encrypt(
+        data.draw(arrays(np.float64, size, elements=ELEMENTS[kind])))
+    want = v.slots * 0.0
+    pattern = _pattern(v)
+    assert _pattern(v) is pattern
+    if not np.isfinite(v.slots).all():
+        assert pattern.dtype == np.float64 and pattern.tobytes() == want.tobytes()
+    elif np.signbit(want).any():
+        assert pattern.dtype == np.uint8 and pattern.shape == ((size + 7) // 8,)
+        signs = np.unpackbits(pattern, count=size, bitorder="little").astype(bool)
+        assert np.where(signs, -0.0, 0.0).tobytes() == want.tobytes()
+    else:
+        assert type(pattern) is float and np.full(size, pattern).tobytes() == want.tobytes()
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from henn.data import Batch, one_hot
+from henn.data import Batch, load_iris, one_hot, preprocess
 from henn.enc_train import EncryptedTrainer, fit_slots
 from henn.engine import EngineConfig, SlotEngine
 from henn.errors import MatrixTooLarge
@@ -17,7 +17,7 @@ from henn.train import (
     train,
 )
 
-from conftest import make_classification_batch, make_regression_batch
+from conftest import make_classification_batch, make_regression_batch, traced_peak
 
 
 def small_engine(slots=256):
@@ -245,3 +245,18 @@ def test_sle_experiment_parallel_matches_sequential():
     seq = run_sle_experiment(tr, te, workers=1, **kw)
     par = run_sle_experiment(tr, te, workers=2, **kw)
     assert seq["curves"] == par["curves"]
+
+
+def test_weight_decode_holds_one_full_width_row_at_a_time():
+    """current_weights keeps a copy of each row's kept slots only: its peak
+    stays below half of rows x slots x 8 bytes, which holding every
+    full-width decryption until np.stack would exceed (desk scale: iris,
+    hidden 16, 4096 slots, exact)."""
+    batch = preprocess(load_iris())
+    params = init_params(batch.d, 16, batch.Y.shape[1], 0, eta=0.01)
+    trainer = EncryptedTrainer(SlotEngine(small_engine(4096)), batch, params, LossSpec("sle2"))
+    trainer.iterate()
+    rows = [em.parts[0] for em in trainer.W_enc + trainer.V_enc]
+    for row in rows:
+        row.slots                       # build the lazy rows outside the measurement
+    assert traced_peak(trainer.current_weights) < len(rows) * 4096 * 8 / 2

@@ -94,5 +94,20 @@ def quantize_float(x, scale):
 
 
 def mult_rescale_float(a, b, scale):
-    """``mult_rescale`` of two Python floats."""
-    return rint((a * b) * scale) * (1.0 / scale)
+    """``mult_rescale`` of two Python floats, ``rint`` inlined."""
+    x = (a * b) * scale
+    if math.isfinite(x):
+        x = math.copysign(float(round(x)), x)
+    return x * (1.0 / scale)
+
+
+def cmult_rescale_float(a, m, scale):
+    """``mult_rescale_float(a, quantize_float(m, scale), scale)``, the product
+    of a slot and a mask value, in one call with ``rint`` inlined."""
+    q = m * scale
+    if math.isfinite(q):
+        q = math.copysign(float(round(q)), q)
+    x = (a * (q * (1.0 / scale))) * scale
+    if math.isfinite(x):
+        x = math.copysign(float(round(x)), x)
+    return x * (1.0 / scale)

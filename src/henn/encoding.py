@@ -46,7 +46,14 @@ class EncodedMatrix:
     team_id: int | None = None
 
     def with_parts(self, parts) -> "EncodedMatrix":
-        return EncodedMatrix(self.rows, self.cols, self.layout, tuple(parts), self.team_id)
+        # the fields copied into a bare instance: the generated __init__ of a
+        # frozen class sets each one through object.__setattr__, at about
+        # twice the cost
+        em = object.__new__(EncodedMatrix)
+        fields = em.__dict__
+        fields.update(self.__dict__)
+        fields["parts"] = tuple(parts)
+        return em
 
 
 def encode_matrix(engine: SlotEngine, M, layout: Layout, repeat: int | None = None) -> EncodedMatrix:
@@ -266,8 +273,9 @@ def roll_fill(engine: SlotEngine, em) -> SlotVector:
     becomes the total sum instead of a replicated value.
     """
     acc = em.parts[0] if isinstance(em, EncodedMatrix) else em
+    rotate_add, slots = engine.rotate_add, engine.config.slots
     step = 1
-    while step < engine.config.slots:
-        acc = engine.rotate_add(acc, step)
+    while step < slots:
+        acc = rotate_add(acc, step)
         step *= 2
     return acc

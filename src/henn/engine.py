@@ -19,14 +19,9 @@ mask builders in ``encoding`` make structured masks.  On the leveled backend
 Besides the dense form, a result can take one of four lazy forms, which
 hold what defines their slots instead of the slots themselves:
 
-* uniform (``UniformVector``): every slot holds one value.  ``add``, ``sub``
-  and ``mult`` of two uniform vectors compute it with Python floats
-  (``operator.add``/``sub`` and the scalar kernels of ``_kernels``), the
-  same IEEE operations the dense form applies to each slot; ``mult`` enters
-  a uniform left operand as a scalar.
+* uniform (``UniformVector``): every slot holds one value.
 * rotation (``RotatedVector``): what ``rotate(src, k)`` returns, the source
-  and the shift.  A structured ``cmult`` of an unread rotation reads its
-  picked slots from the source, at ``(index + k) % size``.
+  and the shift.
 * sparse (``SparseVector``): ``values`` on a ``support`` (an int, a slice or
   an index array) and signed zeros elsewhere, then the ``rotate_add``
   doublings up to a ``window``.  The zeros are one float ``zero``, or the
@@ -36,28 +31,43 @@ hold what defines their slots instead of the slots themselves:
   placements of one source that a pending sum adds share it: the float
   +0.0 when every slot of the source is finite with a clear sign bit, else
   the sign bits, eight to a byte, when every slot is finite, else the float
-  array, NaN included.
+  array, NaN included.  ``encrypt`` gives one of its values on the first
+  slots and +0.0 elsewhere, so encrypting a short vector allocates no slots.
 * pending sum (``SumVector``): a base vector and the window-1 sparse terms
   added to it or subtracted from it, in order.
 
-``encrypt`` gives a sparse vector of its values on the first slots and +0.0
-elsewhere, so encrypting a short vector allocates no slots.  Every
-structured-mask ``cmult`` gives one over the pattern of its operand, or of an
-unread rotation's source: the dense product's slots at the mask's +0.0
-slots, NaN included.  ``rotate_add(v, k)`` with ``k`` equal to
-the window doubles it, as ``roll_fill`` does after ``keep_only``.  When the
-window covers every slot, the support is one slot with a finite non-zero
-value v and every zero is finite, the vector becomes uniform: each slot sums
-one v and signed zeros, and v + (+-0.0) == v.  ``mult(t, x)`` of a uniform t
-by an x that is +0.0 outside a support multiplies only the support and gives
-a sparse vector with the float zero ``t * 0.0`` (a signed zero, or NaN for a
-non-finite t; the rescale passes return both unchanged).  ``_sparse`` finds
-the support: a window-1 sparse x whose zeros are +0.0 gives its own; any
-other x is scanned once (``_support``), and a support of more than an eighth
-of the slots takes the dense kernel (the measured crossover,
-``BENCH_scalar_kernels.json``, section ``product_support``).  A row cut from
-a matrix with negative entries (zscore-scaled inputs) takes the scan, which
-adds a -0.0 slot for each of them.
+``add``, ``sub``, ``mult`` and ``cmult`` check the slot counts and charge
+their level inline, with no helper call.  Each op then tests its operands'
+forms in this order; operands that fit none are read (``slots``) and take
+the dense kernel.
+
+* ``add``/``sub`` (``_sum``): two uniform operands give one float through
+  ``operator.add``/``sub``, the IEEE operation the dense form applies to
+  each slot; then an unread window-1 sparse right operand becomes a term of
+  a pending sum (below).
+* ``mult``: a uniform left operand t enters as a scalar.  With a uniform
+  right operand the product is one float through the scalar kernel; with a
+  window-1 sparse x whose zeros are +0.0, only x's own support is
+  multiplied, unbuilt; any other x is scanned once (``_support``) for the
+  slots that are not +0.0, and a support of more than an eighth of the
+  slots takes the dense kernel (the measured crossover,
+  ``BENCH_scalar_kernels.json``, section ``product_support``).  A sparse
+  product has the float zero ``t * 0.0`` (a signed zero, or NaN for a
+  non-finite t; the rescale passes return both unchanged).  A row cut from
+  a matrix with negative entries (zscore-scaled inputs) takes the scan,
+  which adds a -0.0 slot for each of them.
+* ``cmult``: a dense mask takes the dense kernel.  A structured mask reads
+  its picked slots from the operand, or from an unread rotation's source at
+  ``(index + k) % size``, and gives a window-1 sparse vector over that
+  vector's pattern: the dense product's slots at the mask's +0.0 slots, NaN
+  included.  A one-hot product is one call of a scalar kernel.
+* ``rotate`` gives a rotation.
+* ``rotate_add(v, k)`` of a sparse v whose window is k doubles the window,
+  as ``roll_fill`` does after ``keep_only``.  When the window covers every
+  slot (so also a one-hot ``cmult`` at one slot), the support is one slot
+  with a finite non-zero value v and every zero is finite, the vector
+  becomes uniform: each slot sums one v and signed zeros, and v + (+-0.0)
+  == v.
 
 ``add``/``sub`` with an unread window-1 sparse right operand give a pending
 sum: the placements of the forward matmuls (``linalg``), the gradient sums
@@ -94,8 +104,7 @@ sign bits, 4 KB at 32768 slots), and of a term only its values and support,
 so an unread sum pins no full-width vector besides its base: not a matmul
 column's block sums, nor the gradient row that a weight update subtracts.
 
-Every other combination reads ``slots`` and takes the dense path.  Reading
-``slots`` of a lazy vector replays the dense composition, caches the
+Reading ``slots`` of a lazy vector replays the dense composition, caches the
 read-only result on the vector and returns it, so both paths give the same
 bits; a rotation then drops its source, and a pending sum its base and
 terms.  That cache, and the zero pattern and support that ``_pattern`` and
@@ -230,7 +239,7 @@ class RotatedVector(_LazyVector):
     __slots__ = ("src", "k")
 
     def __init__(self, src: SlotVector, k: int, level, uid):
-        self.size = len(src)
+        self.size = src.size
         self.src = src
         self.k = k
         self.level = level
@@ -362,6 +371,7 @@ class SumVector(_LazyVector):
 
 
 _MINUS_ZERO = 0x8000000000000000      # the bits of -0.0
+_new_instance = object.__new__
 
 
 def _is_plus(zero) -> bool:
@@ -421,25 +431,12 @@ def _support(v: SlotVector):
     support = getattr(v, "_support", False)
     if support is False:
         set_bits = v.slots.view(np.int64) != 0
-        if np.count_nonzero(set_bits) > len(v) // 8:
+        if np.count_nonzero(set_bits) > v.size // 8:
             support = None
         else:
             support = np.flatnonzero(set_bits)
         v._support = support
     return support
-
-
-def _sparse(v: SlotVector):
-    """``(support, values)``: a support outside which v is +0.0 and v's slots
-    on it, or None.  A window-1 sparse vector whose zeros are +0.0 gives its
-    own, unbuilt; its support may also hold +0.0 slots, which a product by v
-    maps as it maps the slots outside.  Any other v is scanned
-    (``_support``)."""
-    if type(v) is SparseVector and v.window == 1 and _is_plus(
-            v.zero if v.src is None else _pattern(v.src)):
-        return v.support, v.values
-    support = _support(v)
-    return None if support is None else (support, v.slots[support])
 
 
 class PlainMask:
@@ -462,12 +459,13 @@ class PlainMask:
 
     @classmethod
     def structured(cls, size: int, index, value: float) -> "PlainMask":
-        if isinstance(index, slice):
-            index.indices(size)  # a zero step raises here, at build time
-        else:
-            index = operator.index(index)
-            if not -size <= index < size:
-                raise IndexError(f"mask index {index} out of range for {size} slots")
+        if type(index) is not int:
+            if isinstance(index, slice):
+                index.indices(size)  # a zero step raises here, at build time
+            else:
+                index = operator.index(index)
+        if type(index) is int and not -size <= index < size:
+            raise IndexError(f"mask index {index} out of range for {size} slots")
         m = cls.__new__(cls)
         m.size = size
         m.index = index
@@ -606,9 +604,10 @@ class SlotEngine:
         if self._leveled:
             values = _kernels.quantize(values, self._scale)
         level = self.config.level_budget if self._leveled else None
-        sv = self._sparse_vector(None, 0, 0.0, slice(0, values.shape[0]), values, 1,
-                                 self.config.slots, level)
-        self._record("encrypt", (), sv, 0)
+        sv = SparseVector(self.config.slots, None, 0, 0.0, slice(0, values.shape[0]), values, 1,
+                          level, next(self._uid))
+        if self.trace is not None:
+            self.trace.record("encrypt", (), sv.uid, 0, level)
         return sv
 
     def mask(self, values) -> PlainMask:
@@ -625,31 +624,13 @@ class SlotEngine:
         return UniformVector(size, value, level, next(self._uid))
 
     def _sparse_vector(self, src, k, zero, support, values, window, size, level) -> SlotVector:
-        """A sparse vector, or its one value as a uniform vector when that is
-        exact (see the module docstring)."""
-        if (window == size and type(support) is int and values != 0.0 and math.isfinite(values)
+        """A sparse vector whose window covers every slot, or its one value as
+        a uniform vector when that is exact (see the module docstring)."""
+        if (type(support) is int and values != 0.0 and math.isfinite(values)
                 and _finite(zero if src is None else _pattern(src))):
             return self._uniform(values, size, level)
         return SparseVector(size, src, k, zero, support, values, window, level,
                             next(self._uid))
-
-    def _record(self, op, ins, out, consumed):
-        if self.trace is not None:
-            self.trace.record(op, tuple(i.uid for i in ins), out.uid, consumed, out.level)
-
-    def _check_pair(self, a: SlotVector, b) -> None:
-        if a.size != b.size:
-            raise LengthMismatch(f"{a.size} vs {b.size} slots")
-
-    def _consume(self, op, a: SlotVector, b: SlotVector | None = None):
-        """The level of a result that rescales once: one below its lower
-        operand (None on the exact backend)."""
-        if not self._leveled:
-            return None
-        level = a.level if b is None else min(a.level, b.level)
-        if level < 1:
-            raise DepthExhausted(f"{op}: operand at level 0 (budget {self.config.level_budget})")
-        return level - 1
 
     def _product(self, x, y):
         """x * y slotwise, rescaled on the leveled backend: the scalar kernel
@@ -661,24 +642,26 @@ class SlotEngine:
         return _kernels.mult_rescale(x, y, self._scale)
 
     # --- operations ---------------------------------------------------------
+    # (order of dispatch: module docstring; a level is None on the exact backend)
 
     def _sum(self, op, ufunc, scalar_op, a: SlotVector, b: SlotVector) -> SlotVector:
-        """The body of add and sub: ufunc (np.add or np.subtract) slotwise.
-
-        Two uniform operands give one float through scalar_op (operator.add
-        or operator.sub), the same IEEE operation.  An unread window-1 sparse
-        right operand is never built: it becomes a term of a pending sum
-        (``_pending_sum``).
-        """
-        self._check_pair(a, b)
-        level = min(a.level, b.level) if self._leveled else None
-        if type(a) is UniformVector and type(b) is UniformVector:
-            sv = self._uniform(scalar_op(a.value, b.value), a.size, level)
-        elif type(b) is SparseVector and b._cache is None and b.window == 1:
+        """The body of add and sub: ufunc (np.add or np.subtract) slotwise,
+        scalar_op (operator.add or operator.sub) on two uniform operands."""
+        size = a.size
+        if b.size != size:
+            raise LengthMismatch(f"{size} vs {b.size} slots")
+        level = a.level
+        if level is not None and b.level < level:
+            level = b.level
+        tb = type(b)
+        if tb is UniformVector and type(a) is UniformVector:
+            sv = UniformVector(size, scalar_op(a.value, b.value), level, next(self._uid))
+        elif tb is SparseVector and b._cache is None and b.window == 1:
             sv = self._pending_sum(a, ufunc, scalar_op, b, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
-        self._record(op, (a, b), sv, 0)
+        if self.trace is not None:
+            self.trace.record(op, (a.uid, b.uid), sv.uid, 0, level)
         return sv
 
     def _pending_sum(self, a: SlotVector, ufunc, scalar_op, b: SparseVector,
@@ -716,23 +699,48 @@ class SlotEngine:
 
     def mult(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise product; leveled backend rescales and consumes one level.
-
-        Two uniform operands give one float through the scalar kernel.  A
-        uniform left operand enters as a scalar; when the right operand is
-        +0.0 outside a support (``_sparse``), only the support is multiplied
-        and the result is sparse."""
-        self._check_pair(a, b)
-        level = self._consume("mult", a, b)
-        ua = type(a) is UniformVector
-        if ua and type(b) is UniformVector:
-            sv = self._uniform(self._product(a.value, b.value), len(a), level)
-        elif ua and (sparse := _sparse(b)) is not None:
-            support, values = sparse
-            sv = self._sparse_vector(None, 0, a.value * 0.0, support,
-                                     self._product(a.value, values), 1, len(b), level)
+        A uniform left operand enters as a scalar, and only the support of a
+        right operand that is +0.0 elsewhere is multiplied."""
+        size = a.size
+        if b.size != size:
+            raise LengthMismatch(f"{size} vs {b.size} slots")
+        level = a.level
+        if level is not None:
+            if b.level < level:
+                level = b.level
+            if level < 1:
+                raise DepthExhausted(f"mult: operand at level 0 (budget {self.config.level_budget})")
+            level -= 1
+        if type(a) is UniformVector:
+            t = a.value
+            tb = type(b)
+            if tb is UniformVector:
+                value = (t * b.value if level is None
+                         else _kernels.mult_rescale_float(t, b.value, self._scale))
+                sv = UniformVector(size, value, level, next(self._uid))
+            else:
+                support = None
+                if tb is SparseVector and b.window == 1:
+                    zero = b.zero if b.src is None else _pattern(b.src)
+                    if type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) > 0:
+                        support, values = b.support, b.values
+                if support is None and (support := _support(b)) is not None:
+                    values = b.slots[support]
+                if support is None:
+                    sv = self._new(self._product(t, b.slots), level)
+                else:
+                    if level is None:
+                        values = t * values
+                    elif type(values) is float:
+                        values = _kernels.mult_rescale_float(t, values, self._scale)
+                    else:
+                        values = _kernels.mult_rescale(t, values, self._scale)
+                    sv = SparseVector(size, None, 0, t * 0.0, support, values, 1, level,
+                                      next(self._uid))
         else:
-            sv = self._new(self._product(a.value if ua else a.slots, b.slots), level)
-        self._record("mult", (a, b), sv, 1)
+            sv = self._new(self._product(a.slots, b.slots), level)
+        if self.trace is not None:
+            self.trace.record("mult", (a.uid, b.uid), sv.uid, 1, level)
         return sv
 
     def cmult(self, a: SlotVector, m: PlainMask) -> SlotVector:
@@ -741,28 +749,38 @@ class SlotEngine:
         On the leveled backend the mask is quantized first: the dense slots,
         or the structured mask's one value.  A structured mask gives a sparse
         vector of window 1: the (rescaled) products at its index, and
-        ``a * 0.0`` elsewhere, which is what the dense product gives at the
-        mask's +0.0 slots (signed zeros and NaN included).  Of an unread
-        rotation, the products and the zero pattern are read from the
-        rotation's source, unbuilt.
+        ``a * 0.0`` elsewhere, read from an unread rotation's source.
         """
-        self._check_pair(a, m)
-        level = self._consume("cmult", a)
-        if m.index is None:
-            mq = _kernels.quantize(m.slots, self._scale) if self._leveled else m.slots
+        size = a.size
+        if m.size != size:
+            raise LengthMismatch(f"{size} vs {m.size} slots")
+        level = a.level
+        if level is not None:
+            if level < 1:
+                raise DepthExhausted(f"cmult: operand at level 0 (budget {self.config.level_budget})")
+            level -= 1
+        index = m.index
+        if index is None:
+            mq = _kernels.quantize(m.slots, self._scale) if level is not None else m.slots
             sv = self._new(self._product(a.slots, mq), level)
         else:
-            src, k, size = a, 0, len(a)
+            src, k = a, 0
             if type(a) is RotatedVector and (rot_src := a.src) is not None:
                 src, k = rot_src, a.k
-            if type(m.index) is int:
-                picked = float(src.slots[(m.index + k) % size])
+            if type(index) is int:
+                picked = float(src.slots[(index + k) % size])
+                value = (picked * m.value if level is None
+                         else _kernels.cmult_rescale_float(picked, m.value, self._scale))
             else:
-                picked = src.slots[(np.arange(*m.index.indices(size)) + k) % size]
-            mq = _kernels.quantize_float(m.value, self._scale) if self._leveled else m.value
-            sv = self._sparse_vector(src, k, None, m.index, self._product(picked, mq), 1, size,
-                                     level)
-        self._record("cmult", (a,), sv, 1)
+                picked = src.slots[(np.arange(*index.indices(size)) + k) % size]
+                value = (picked * m.value if level is None else _kernels.mult_rescale(
+                    picked, _kernels.quantize_float(m.value, self._scale), self._scale))
+            if size == 1:
+                sv = self._sparse_vector(src, k, None, index, value, 1, size, level)
+            else:
+                sv = SparseVector(size, src, k, None, index, value, 1, level, next(self._uid))
+        if self.trace is not None:
+            self.trace.record("cmult", (a.uid,), sv.uid, 1, level)
         return sv
 
     def rotate(self, a: SlotVector, k: int) -> SlotVector:
@@ -770,18 +788,35 @@ class SlotEngine:
 
         The result is a lazy ``RotatedVector``; reading its slots runs the
         rotation kernel."""
-        sv = RotatedVector(a, k % len(a), a.level, next(self._uid))
-        self._record("rotate", (a,), sv, 0)
+        sv = RotatedVector(a, k % a.size, a.level, next(self._uid))
+        if self.trace is not None:
+            self.trace.record("rotate", (a.uid,), sv.uid, 0, sv.level)
         return sv
 
     def rotate_add(self, a: SlotVector, k: int) -> SlotVector:
         """Fused add(a, rotate(a, k)); same semantics, one kernel pass.
 
-        On a sparse vector whose window is k it doubles the window instead."""
-        k %= len(a)
+        On a sparse vector whose window is k it doubles the window instead;
+        the doubling that covers every slot may give a uniform vector."""
+        size = a.size
+        k %= size
         if type(a) is SparseVector and k == a.window:
-            sv = self._sparse_vector(a.src, a.k, a.zero, a.support, a.values, 2 * k, a.size,
-                                     a.level)
+            window = k + k
+            if window == size:
+                sv = self._sparse_vector(a.src, a.k, a.zero, a.support, a.values, window, size,
+                                         a.level)
+            else:   # a's fields set on a bare instance, cheaper than by __init__
+                sv = _new_instance(SparseVector)
+                sv.size = size
+                sv.src = a.src
+                sv.k = a.k
+                sv.zero = a.zero
+                sv.support = a.support
+                sv.values = a.values
+                sv.window = window
+                sv.level = a.level
+                sv.uid = next(self._uid)
+                sv._cache = None
         else:
             sv = self._new(_kernels.rotate_add(a.slots, k), a.level)
         if self.trace is not None:

@@ -136,12 +136,64 @@ def test_rotate_examples(exact8):
     assert np.array_equal(eng.decrypt(back), eng.decrypt(v))
 
 
+def operand_forms(eng, level):
+    """One vector of each operand form at the given level (None on the exact
+    backend): uniform, a window-1 sparse row whose zeros are +0.0, a flood
+    (window 2), an unread rotation, dense, and a pending sum."""
+    size = eng.config.slots
+    dense = eng._new(np.linspace(0.0, 1.0, size), level)
+    above = eng._new(np.linspace(0.0, 1.0, size), None if level is None else level + 1)
+    sparse = eng.cmult(above, segment_mask(eng, 0, 2))
+    return {"uniform": eng._uniform(0.5, size, level), "sparse": sparse,
+            "flood": eng.rotate_add(sparse, 1), "rotated": eng.rotate(dense, 1),
+            "dense": dense, "sum": eng.add(dense, sparse)}
+
+
+def plain_masks(eng):
+    """A dense, a one-hot and a slice mask."""
+    return [eng.mask(np.ones(eng.config.slots)), one_hot_mask(eng, 3), segment_mask(eng, 2, 4)]
+
+
 def test_length_mismatch():
-    a = SlotEngine(EngineConfig(slots=8, backend="exact")).encrypt([1])
-    other = SlotEngine(EngineConfig(slots=16, backend="exact"))
-    b = other.encrypt([1])
-    with pytest.raises(LengthMismatch):
-        other.add(a, b)
+    """add, sub, mult and cmult refuse two slot counts whatever the forms of
+    their operands, each fast path included, and record nothing."""
+    for backend, level in (("exact", None), ("leveled", 20)):
+        trace = OpTrace()
+        small, big = lazy_engine(backend, 8), lazy_engine(backend, 16, trace)
+        forms8, forms16 = operand_forms(small, level), operand_forms(big, level)
+        recorded = len(trace.entries)
+        for x in forms8.values():
+            for y in forms16.values():
+                for a, b in ((x, y), (y, x)):
+                    for op in (big.add, big.sub, big.mult):
+                        with pytest.raises(LengthMismatch, match=f"^{a.size} vs {b.size} slots$"):
+                            op(a, b)
+            for a, masks in ((x, plain_masks(big)), (forms16["dense"], plain_masks(small))):
+                for m in masks:
+                    with pytest.raises(LengthMismatch, match=f"^{a.size} vs {m.size} slots$"):
+                        big.cmult(a, m)
+        assert len(trace.entries) == recorded
+
+
+def test_depth_exhausted_names_the_op_for_every_operand_form():
+    """mult and cmult refuse an operand at level 0 whatever its form, each
+    fast path included, with the message the training report keeps, and
+    record nothing."""
+    trace = OpTrace()
+    eng = lazy_engine("leveled", 8, trace)
+    spent, fresh = operand_forms(eng, 0), operand_forms(eng, 20)
+    recorded = len(trace.entries)
+    for x in spent.values():
+        for y in list(spent.values()) + list(fresh.values()):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(DepthExhausted) as e:
+                    eng.mult(a, b)
+                assert str(e.value) == "mult: operand at level 0 (budget 33)"
+        for m in plain_masks(eng):
+            with pytest.raises(DepthExhausted) as e:
+                eng.cmult(x, m)
+            assert str(e.value) == "cmult: operand at level 0 (budget 33)"
+    assert len(trace.entries) == recorded
 
 
 def test_ops_are_pure(exact8):
@@ -1005,6 +1057,46 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     trainer.iterate()
     assert dict(built) == {"sparse pattern slice": 9, "sparse pattern one-hot": 2,
                            "sparse float slice": 15, "rotation": 3, "sum": 16}
+
+
+def test_zscore_step_scans_each_input_row_once_and_keeps_its_products_sparse(monkeypatch):
+    """Traffic guard for zscore-scaled inputs, which no benchmark workload
+    has.  mult's unbuilt path takes a window-1 sparse row whose zeros are
+    +0.0; a row cut from a matrix with negative entries has -0.0 zeros there,
+    so each of the n = 150 input rows is scanned once (``_support``, cached on
+    the row) and each of its products by a uniform gradient factor, n * m =
+    150 * 16 at desk scale, is still sparse.  A dense product there made a
+    zscore step about twice as slow."""
+    from henn import data, engine
+    from henn.enc_train import EncryptedTrainer
+    from henn.losses import LossSpec
+    from henn.nn import init_params
+
+    batch = data.preprocess(data.load_iris(), "zscore")
+    eng = lazy_engine("exact", 4096)
+    trainer = EncryptedTrainer(eng, batch, init_params(batch.d, 16, batch.Y.shape[1], 0),
+                               LossSpec("sle2"))
+    assert type(_pattern(trainer.X_em.parts[0])) is np.ndarray      # negative entries
+    rows = {id(r) for r in trainer.x_rows}
+    scans, products = Counter(), Counter()
+    support, mult = engine._support, SlotEngine.mult
+
+    def counted_support(v):
+        if getattr(v, "_support", False) is False:
+            scans["row" if id(v) in rows else type(v).__name__] += 1
+        return support(v)
+
+    def counted_mult(self, a, b):
+        out = mult(self, a, b)
+        if type(a) is UniformVector and id(b) in rows:
+            products[type(out).__name__] += 1
+        return out
+
+    monkeypatch.setattr(engine, "_support", counted_support)
+    monkeypatch.setattr(SlotEngine, "mult", counted_mult)
+    trainer.iterate()
+    assert dict(scans) == {"row": 150}
+    assert dict(products) == {"SparseVector": 150 * 16}
 
 
 @pytest.mark.parametrize("backend", ["exact", "leveled"])

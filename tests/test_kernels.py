@@ -142,6 +142,22 @@ def test_scalar_kernels_match_the_array_kernels(case, y):
     assert type(_kernels.mult_rescale_float(x, y, scale)) is float
 
 
+@settings(max_examples=500, deadline=None)
+@given(float_and_scale(), st.sampled_from(SPECIAL) | st.floats() | st.just(1.0))
+@example((2.5 * 2.0**-30, SCALE), 1.0)      # tie: rint(2.5) == 2.0
+@example((0.3, SCALE), 2.5 * 2.0**-30)      # the mask value itself a tie
+@example((float("inf"), 2.0), 0.0)
+def test_cmult_scalar_kernel_is_the_quantized_mask_product(case, m):
+    """A one-hot cmult's one call gives the bits of quantizing the mask value
+    and then the rescaled product, in the scalar and the array kernels."""
+    x, scale = case
+    got = _kernels.cmult_rescale_float(x, m, scale)
+    assert type(got) is float
+    assert same_bits(got, _kernels.mult_rescale_float(x, _kernels.quantize_float(m, scale), scale))
+    assert same_bits(got, _kernels.mult_rescale(np.array([x]),
+                                                _kernels.quantize(np.array([m]), scale), scale)[0])
+
+
 def test_quantize_integer_oracle():
     # round-half-even of v * 2^30, computed with Python arithmetic
     vals = np.array([0.1, -0.5, 0.25, 1.0 + 2**-31, -0.7, 3.14159])

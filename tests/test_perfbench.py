@@ -1,5 +1,5 @@
 """The benchmark harness runs on this tree: its self-tests pass, and a short
-traced run of two workloads is correct (recorded digests, call counts in
+traced run of each workload is correct (recorded digests, call counts in
 counts.json, levels per step, and the names its tracer patches)."""
 
 import json
@@ -22,7 +22,8 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["iris-desk-exact", "dvr-matmul-leveled"])
+@pytest.mark.parametrize("workload", ["iris-desk-exact", "dvr-matmul-leveled",
+                                      "iris-paper-leveled"])
 def test_short_traced_benchmark_run_is_correct(workload):
     proc = run_script("perfbench/run.py", "--workload", workload, "--seed", "0",
                       "--seconds", "1", "--trace", "1")

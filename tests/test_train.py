@@ -103,6 +103,8 @@ def test_leveled_budget_33_runs_two_iterations():
                 engine_config=cfg, seed=4, instrument=True)
     assert rep.iterations_completed == 2
     assert rep.halted["iterations_completed"] == 2
+    # the engine's message reaches the report payload, so its digest too
+    assert rep.halted["detail"] == "mult: operand at level 0 (budget 33)"
     depths = [p["depth"] for p in rep.depth["phases"]]
     assert depths[0] == depths[1] == 14
 

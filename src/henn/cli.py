@@ -17,6 +17,7 @@ iteration; any other artifact that would hold one is not written).
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -27,7 +28,8 @@ from .enc_train import fit_slots
 from .engine import EngineConfig
 from .errors import HennError, NonFinite
 from .losses import LOSS_KINDS, PolyApprox, fit_sigmoid_poly
-from .train import TRAIN_BACKENDS, compare_backends, payload_digest, run_sle_experiment, train
+from .train import (DEFAULT_POLY_DEGREE, DEFAULT_POLY_RANGE, TRAIN_BACKENDS, compare_backends,
+                    payload_digest, run_sle_experiment, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,8 +124,8 @@ def _default_scheme(name):
 TRAIN_DEFAULTS = {
     "dataset": "iris", "loss": "sle2", "hidden": 0, "lr": 0.01, "iters": 2,
     "backend": "plain", "seed": 0, "l2": 0.0, "scheme": "", "subset": 0,
-    "data_dir": "", "out": "henn-out", "logq": 990, "logp": 30, "slots": 32768,
-    "trace": False, "yes_huge": False,
+    "data_dir": "", "out": "henn-out", "logq": EngineConfig.logQ, "logp": EngineConfig.logp,
+    "slots": EngineConfig.slots, "trace": False, "yes_huge": False,
 }
 
 
@@ -188,7 +190,8 @@ def _write_series(path, report, task):
 COMPARE_DEFAULTS = {
     "dataset": "iris", "loss": "sle2", "hidden": 8, "lr": 0.01, "iters": 2,
     "seed": 0, "seed_b": -1, "l2": 0.0, "scheme": "", "subset": 0, "data_dir": "",
-    "out": "henn-out", "tolerance": 1e-9, "logq": 990, "logp": 30, "slots": 0,
+    "out": "henn-out", "tolerance": 1e-9, "logq": EngineConfig.logQ, "logp": EngineConfig.logp,
+    "slots": 0,
 }
 
 
@@ -263,7 +266,11 @@ def cmd_sle_experiment(opts) -> int:
     return EXIT_OK
 
 
-FIT_DEFAULTS = {"degree": 3, "lo": -8.0, "hi": 8.0, "grid": 512, "out": "sigmoid_poly.json"}
+FIT_DEFAULTS = {
+    "degree": DEFAULT_POLY_DEGREE, "lo": -DEFAULT_POLY_RANGE, "hi": DEFAULT_POLY_RANGE,
+    "grid": inspect.signature(fit_sigmoid_poly).parameters["grid_points"].default,
+    "out": "sigmoid_poly.json",
+}
 
 
 def cmd_fit_sigmoid(opts) -> int:

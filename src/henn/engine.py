@@ -27,12 +27,11 @@ hold what defines their slots instead of the slots themselves:
   doublings up to a ``window``.  The zeros are one float ``zero``, or the
   zero pattern ``src.slots * 0.0`` rotated by ``k``, which is bit for bit
   ``rotate(src, k) * 0.0`` since the product is slotwise.  ``_pattern``
-  caches the pattern on the source in its smallest exact form, so the n
-  placements of one source that a pending sum adds share it: the float
-  +0.0 when every slot of the source is finite with a clear sign bit, else
-  the sign bits, eight to a byte, when every slot is finite, else the float
-  array, NaN included.  ``encrypt`` gives one of its values on the first
-  slots and +0.0 elsewhere, so encrypting a short vector allocates no slots.
+  caches the pattern of a finite source on it in its smallest exact form,
+  so the n placements of one source that a pending sum adds share it: the
+  float +0.0 when no slot has its sign bit set, else the sign bits, eight
+  to a byte.  ``encrypt`` gives one of its values on the first slots and
+  +0.0 elsewhere, so encrypting a short vector allocates no slots.
 * pending sum (``SumVector``): a base vector and the window-1 sparse terms
   added to it or subtracted from it, in order.
 
@@ -43,8 +42,8 @@ the dense kernel.
 
 * ``add``/``sub`` (``_sum``): two uniform operands give one float through
   ``operator.add``/``sub``, the IEEE operation the dense form applies to
-  each slot; then an unread window-1 sparse right operand becomes a term of
-  a pending sum (below).
+  each slot; then an unread window-1 sparse right operand with a finite
+  zero becomes a term of a pending sum (below).
 * ``mult``: a uniform left operand t enters as a scalar.  With a uniform
   right operand the product is one float through the scalar kernel; with a
   window-1 sparse x whose zeros are +0.0, only x's own support is
@@ -71,17 +70,21 @@ the dense kernel.
 
 ``add``/``sub`` with an unread window-1 sparse right operand give a pending
 sum: the placements of the forward matmuls (``linalg``), the gradient sums
-in ``enc_train`` and the masked terms of its update.  Adding another such
-term to an unread pending sum gives a longer one; its terms are a list that
-the shorter sum shares, holding only its first entries.  ``sub`` fits the
-same form, because x - y is x + (-y) bit for bit: only the sign of the
-term's zeros flips.  Reading the slots builds the chain in one pass:
+in ``enc_train`` and the masked terms of its update.  Its terms have finite
+zeros only: a float +-0.0, or the pattern of a finite source.  A term whose
+zero holds a NaN or an infinity (a source with one, or the float zero
+``t * 0.0`` of a non-finite t) takes the dense add, the reference that the
+pass below matches; no CKKS ciphertext holds such a slot.  Adding a term to
+an unread pending sum gives a longer one, which shares the shorter one's
+immutable chain of terms.  ``sub`` fits the same form, because x - y is
+x + (-y) bit for bit: only the sign of the term's zeros flips.  Reading the
+slots walks the chain once and builds the sum in one pass:
 
 1. copy the base, as ``base + -0.0``: that is every slot unchanged, and
    every NaN quieted, as any add quiets it;
-2. fix the signed zeros.  With finite operands, x + (+-0.0) is x for every
-   x that is not a zero, and two zeros add to -0.0 only when both are
-   -0.0; a sum that is zero after a non-zero operand is exact and so +0.0.
+2. fix the signed zeros.  With finite zeros, x + (+-0.0) is x for every x
+   that is not a zero, and two zeros add to -0.0 only when both are -0.0;
+   a sum that is zero after a non-zero operand is exact and so +0.0.
    Adding a signed zero therefore commutes with every other addition, and
    only a -0.0 slot of the base can change: it stays -0.0 only while every
    term has -0.0 there.  A term's support slots count as -0.0 here, since
@@ -92,28 +95,22 @@ term's zeros flips.  Reading the slots builds the chain in one pass:
    operation of its add or sub: numpy's scalar or array arithmetic, as a
    one-term sum would.
 
-A NaN or infinite zero, in a source or a float zero, breaks that argument
-(NaN + x keeps one NaN's bits, which an operand order decides), so such a
-sum replays its terms one pass each: ``ufunc(x, zero)`` or ``ufunc(x,
-rotate(pattern, k))`` through the two wrap-around slices, then the values,
-as each add or sub alone does.  A pending sum holds terms over one source,
-or float zeros only: a term over another source builds the sum first and
-starts a new one on it.  A term over a source whose pattern is +0.0 is a
-float-zero term.  Of a finite source the sum keeps only the pattern (the
-sign bits, 4 KB at 32768 slots), and of a term only its values and support,
-so an unread sum pins no full-width vector besides its base: not a matmul
-column's block sums, nor the gradient row that a weight update subtracts.
+A pending sum holds terms over one source, or float zeros only: a term over
+another source builds the sum first and starts a new one on it.  A term
+over a source whose pattern is +0.0 is a float-zero term.  Of a source the
+sum keeps only the sign bits (4 KB at 32768 slots), and of a term only its
+values and support, so an unread sum pins no full-width vector besides its
+base: not a matmul column's block sums, nor the gradient row that a weight
+update subtracts.
 
 Reading ``slots`` of a lazy vector replays the dense composition, caches the
 read-only result on the vector and returns it, so both paths give the same
 bits; a rotation then drops its source, and a pending sum its base and
 terms.  That cache, and the zero pattern and support that ``_pattern`` and
-``_support`` cache, are the only state written after construction, besides
-the term list that pending sums share; filling each is idempotent, so two
-threads that race on it both see the same values.  The list only grows, and
-a sum that extends it checks that its term landed at its own index, and
-copies its prefix otherwise.  Every op is still one engine call with its
-own uid, level and trace records, whatever the form of its operands.
+``_support`` cache, are the only state written after construction; filling
+each is idempotent, so two threads that race on it both see the same
+values.  Every op is still one engine call with its own uid, level and
+trace records, whatever the form of its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -299,22 +296,21 @@ class SparseVector(_LazyVector):
 
 
 class SumVector(_LazyVector):
-    """``base`` plus window-1 sparse terms, in order, each an add or a sub;
-    reading the slots builds them in one pass (``_build``) and drops what
-    they were built from.  A term is ``(ufunc, scalar_op, k, zero, support,
-    values)``: a sparse vector's fields, with its float zero or its source's
-    zero pattern (``_pattern``) as ``zero``.  The terms have one ``source``:
-    that pattern, packed sign bits or a float array, or None when every term
+    """``base`` plus window-1 sparse terms with finite zeros, in order, each
+    an add or a sub; reading the slots builds them in one pass (``_build``)
+    and drops what they were built from.  A term is ``(ufunc, scalar_op, k,
+    zero, support, values)``: a sparse vector's fields, with its float zero
+    or its source's zero pattern (``_pattern``) as ``zero``.  The terms have
+    one ``source``: that pattern's packed sign bits, or None when every term
     has a float zero."""
 
-    # _pending: (base, terms, count, source) until built, then None; the
-    # vector holds the first count entries of terms, a list that longer sums
-    # may share
+    # _pending: (base, chain, source) until built, then None; a chain is (the
+    # earlier terms' chain or None, the last term), shared by longer sums
     __slots__ = ("_pending",)
 
-    def __init__(self, base, terms, count, source, level, uid):
+    def __init__(self, base, chain, source, level, uid):
         self.size = base.size
-        self._pending = (base, terms, count, source)
+        self._pending = (base, chain, source)
         self.level = level
         self.uid = uid
         self._cache = None
@@ -324,30 +320,20 @@ class SumVector(_LazyVector):
         # as for RotatedVector: _pending is read once, cleared after _cache
         pending = self._pending
         if pending is not None:
-            base, terms, count, source = pending
-            out = self._build(base, terms[:count], source)
+            out = self._build(*pending)
             out.flags.writeable = False
             self._cache = out
             self._pending = None
         return self._cache
 
-    def _build(self, base, terms, source):
-        """The slots of base and terms: one pass when every zero is finite,
-        else one pass per term (see the module docstring)."""
-        if source is None:
-            finite = all(math.isfinite(zero) for _, _, _, zero, _, _ in terms)
-        else:
-            finite = _finite(source)
-        if not finite:
-            x = base.slots
-            for ufunc, scalar_op, k, zero, support, values in terms:
-                if source is None:
-                    out = ufunc(x, zero)
-                else:
-                    out = _kernels.rotate_combine(ufunc, x, source, k)
-                out[support] = scalar_op(x[support], values)
-                x = out
-            return x
+    def _build(self, base, chain, source):
+        """The slots of base and the terms of chain, in one pass (see the
+        module docstring)."""
+        terms = []
+        while chain is not None:
+            chain, term = chain
+            terms.append(term)
+        terms.reverse()
         out = base.slots + -0.0          # x + -0.0 is x, with any NaN quieted
         minus = np.flatnonzero(out.view(np.uint64) == _MINUS_ZERO)
         for ufunc, _, k, zero, support, _ in terms:
@@ -374,18 +360,9 @@ _MINUS_ZERO = 0x8000000000000000      # the bits of -0.0
 _new_instance = object.__new__
 
 
-def _is_plus(zero) -> bool:
-    """Whether a float zero or a zero pattern (``_pattern``) is +0.0 in every
-    slot."""
-    return not isinstance(zero, np.ndarray) and zero == 0.0 and math.copysign(1.0, zero) > 0
-
-
-def _finite(zero) -> bool:
-    """Whether a float zero or a zero pattern (``_pattern``) is finite in
-    every slot."""
-    if isinstance(zero, np.ndarray):
-        return zero.dtype == np.uint8
-    return math.isfinite(zero)
+def _is_plus(zero: float) -> bool:
+    """Whether a float zero is +0.0."""
+    return zero == 0.0 and math.copysign(1.0, zero) > 0
 
 
 def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
@@ -407,17 +384,17 @@ def _pattern(v: SlotVector):
     """``v.slots * 0.0`` in its smallest exact form, cached on v: the float
     +0.0 when every slot is finite with a clear sign bit; else, when every
     slot is finite, the sign bits packed eight to a byte (slot j is bit j % 8
-    of byte j // 8); else the float array itself, NaN included."""
-    pattern = getattr(v, "_pattern", None)
-    if pattern is None:
+    of byte j // 8); else None, as the pattern holds NaN."""
+    pattern = getattr(v, "_pattern", False)
+    if pattern is False:
         slots = v.slots
+        pattern = None
         if np.isfinite(slots).all():
             signs = np.signbit(slots)
-            pattern = np.packbits(signs, bitorder="little") if signs.any() else 0.0
-        else:
-            pattern = slots * 0.0
-        if type(pattern) is np.ndarray:
-            pattern.flags.writeable = False
+            pattern = 0.0
+            if signs.any():
+                pattern = np.packbits(signs, bitorder="little")
+                pattern.flags.writeable = False
         v._pattern = pattern
     return pattern
 
@@ -627,18 +604,16 @@ class SlotEngine:
         """A sparse vector whose window covers every slot, or its one value as
         a uniform vector when that is exact (see the module docstring)."""
         if (type(support) is int and values != 0.0 and math.isfinite(values)
-                and _finite(zero if src is None else _pattern(src))):
+                and (math.isfinite(zero) if src is None else _pattern(src) is not None)):
             return self._uniform(values, size, level)
         return SparseVector(size, src, k, zero, support, values, window, level,
                             next(self._uid))
 
     def _product(self, x, y):
-        """x * y slotwise, rescaled on the leveled backend: the scalar kernel
-        for two Python floats, else the array kernel (a scalar broadcasts)."""
+        """x * y slotwise, rescaled on the leveled backend; y is an array and
+        x an array or a float, which broadcasts."""
         if not self._leveled:
             return x * y
-        if type(x) is float and type(y) is float:
-            return _kernels.mult_rescale_float(x, y, self._scale)
         return _kernels.mult_rescale(x, y, self._scale)
 
     # --- operations ---------------------------------------------------------
@@ -656,38 +631,32 @@ class SlotEngine:
         tb = type(b)
         if tb is UniformVector and type(a) is UniformVector:
             sv = UniformVector(size, scalar_op(a.value, b.value), level, next(self._uid))
-        elif tb is SparseVector and b._cache is None and b.window == 1:
-            sv = self._pending_sum(a, ufunc, scalar_op, b, level)
+        elif (tb is SparseVector and b._cache is None and b.window == 1
+              and (type(zero := b.zero if b.src is None else _pattern(b.src)) is np.ndarray
+                   or zero == 0.0)):    # a finite zero: a float is +-0.0 or NaN
+            sv = self._pending_sum(a, ufunc, scalar_op, b, zero, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
         if self.trace is not None:
             self.trace.record(op, (a.uid, b.uid), sv.uid, 0, level)
         return sv
 
-    def _pending_sum(self, a: SlotVector, ufunc, scalar_op, b: SparseVector,
+    def _pending_sum(self, a: SlotVector, ufunc, scalar_op, b: SparseVector, zero,
                      level) -> SumVector:
-        """a plus the window-1 sparse b as a term, unbuilt.  The term's zero
-        is b's float zero or its source's pattern (``_pattern``); a +0.0
-        pattern makes it a float-zero term, and any other pattern is the
-        sum's source.  An unread sum with the term's source takes the term as
-        one more; an unread sum with another source is built first and, like
-        any other a, is the base of a new sum."""
-        zero = b.zero if b.src is None else _pattern(b.src)
-        source = zero if isinstance(zero, np.ndarray) else None
+        """a plus the window-1 sparse b as a term, unbuilt; zero is b's float
+        zero or its source's pattern (``_pattern``), finite.  An unread sum
+        whose source (a sign-bit pattern, or None for float zeros and +0.0
+        patterns) is the term's takes the term as one more; any other a, an
+        unread sum built first, is the base of a new sum."""
+        source = zero if type(zero) is np.ndarray else None
         term = (ufunc, scalar_op, b.k, zero, b.support, b.values)
-        pending = a._pending if type(a) is SumVector else None
-        if pending is not None and pending[3] is source:
-            base, terms, count, _ = pending
-            if len(terms) == count:
-                terms.append(term)
-            if terms[count] is not term:     # a longer sum already shares the list
-                terms = terms[:count] + [term]
-            count += 1
-        else:
-            if pending is not None:
+        base, chain = a, None
+        if type(a) is SumVector and (pending := a._pending) is not None:
+            if pending[2] is source:
+                base, chain, _ = pending
+            else:
                 a.slots
-            base, terms, count = a, [term], 1
-        return SumVector(base, terms, count, source, level, next(self._uid))
+        return SumVector(base, (chain, term), source, level, next(self._uid))
 
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise sum; leveled result drops to the lower operand level."""

@@ -38,10 +38,6 @@ class PolyApprox:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64),
                                                 np.asarray(self.coefficients))
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
     def to_dict(self):
         return {
             "coefficients": list(self.coefficients),
@@ -118,81 +114,46 @@ def softmax_reference(ybar):
     return probs, np.argmax(probs, axis=1)
 
 
-# --- error-signal (S) matrices ---------------------------------------------
-# All signals are d(loss)/d(ybar) for the batch-mean loss, i.e. the per-entry
-# rule divided by the number of rows n.
+# --- error signals and scalar losses ------------------------------------------
+# A signal is d(loss)/d(ybar) for the batch-mean loss, i.e. the per-entry rule
+# divided by the number of rows n.
 
-def s_matrix_sle(ybar, y, poly: PolyApprox | None = None):
-    """Original SLE signal (1 - sigma(ybar) - y) / n.
+def s_matrix(spec: LossSpec, ybar, y):
+    """The n x c error signal of spec's kind:
 
-    Reproduced for completeness; with hidden layers this loss tends to stall
-    in local minima, prefer the variants."""
+    * sle: (1 - sigma(ybar) - y) / n, the original SLE, reproduced for
+      completeness; with hidden layers it tends to stall in local minima,
+      prefer the variants;
+    * sle1: 2 (sigma - y) sigma (1 - sigma) / n, and sle1s the same with
+      the derivative factor frozen at 0.25;
+    * sle2 and mse: 2 (ybar - y) / n, the second variant, which is the mean
+      squared error's for a single output column."""
     ybar, y = _as2d(ybar, y)
-    sig = poly(ybar) if poly is not None else sigmoid(ybar)
-    return (1.0 - sig - y) / ybar.shape[0]
-
-
-def s_matrix_sle1(ybar, y, simplified: bool = False, poly: PolyApprox | None = None):
-    """First-variant signal: 2 (sigma - y) sigma (1 - sigma) / n, or with the
-    derivative factor frozen at 0.25 in the simplified form."""
-    ybar, y = _as2d(ybar, y)
-    sig = poly(ybar) if poly is not None else sigmoid(ybar)
-    if simplified:
+    if not spec.uses_sigmoid:
+        return 2.0 * (ybar - y) / ybar.shape[0]
+    sig = spec.sigma(ybar)
+    if spec.kind == "sle":
+        return (1.0 - sig - y) / ybar.shape[0]
+    if spec.kind == "sle1s":
         return 2.0 * (sig - y) * 0.25 / ybar.shape[0]
     return 2.0 * (sig - y) * sig * (1.0 - sig) / ybar.shape[0]
 
 
-def s_matrix_sle2(ybar, y):
-    """Second-variant signal 2 (ybar - y) / n; identical rule serves MSE
-    regression with a single output column."""
-    ybar, y = _as2d(ybar, y)
-    return 2.0 * (ybar - y) / ybar.shape[0]
-
-
-def s_matrix(spec: LossSpec, ybar, y):
-    if spec.kind == "sle":
-        return s_matrix_sle(ybar, y, poly=spec.sigmoid_poly)
-    if spec.kind == "sle1":
-        return s_matrix_sle1(ybar, y, simplified=False, poly=spec.sigmoid_poly)
-    if spec.kind == "sle1s":
-        return s_matrix_sle1(ybar, y, simplified=True, poly=spec.sigmoid_poly)
-    return s_matrix_sle2(ybar, y)
-
-
-# --- scalar losses -----------------------------------------------------------
-
-def sle_log_likelihood(ybar, y, poly: PolyApprox | None = None) -> float:
-    """Batch-mean sum of ln|sigma(ybar) - y| (diagnostic for original SLE).
-
-    Raises NonFinite when any term hits the log singularity."""
-    ybar, y = _as2d(ybar, y)
-    sig = poly(ybar) if poly is not None else sigmoid(ybar)
-    gap = np.abs(sig - y)
-    if np.any(gap == 0.0):
-        raise NonFinite("sigma(ybar) == y somewhere; log-likelihood diverges")
-    return float(np.sum(np.log(gap)) / ybar.shape[0])
-
-
 def loss_value(spec: LossSpec, ybar, y) -> float:
-    """Scalar loss for the spec's kind, averaged over batch rows."""
+    """Scalar loss for the spec's kind, averaged over batch rows.  For sle it
+    is the sum of ln|sigma(ybar) - y|, a diagnostic of the original SLE,
+    which raises NonFinite when any term hits the log singularity."""
     ybar, y = _as2d(ybar, y)
     n = ybar.shape[0]
+    if not spec.uses_sigmoid:
+        return float(np.sum((ybar - y) ** 2) / n)
+    sig = spec.sigma(ybar)
     if spec.kind == "sle":
-        return sle_log_likelihood(ybar, y, poly=spec.sigmoid_poly)
-    if spec.kind in ("sle1", "sle1s"):
-        sig = spec.sigma(ybar)
-        return float(np.sum((sig - y) ** 2) / n)
-    return float(np.sum((ybar - y) ** 2) / n)
-
-
-# --- activations --------------------------------------------------------------
-
-def square_activation(z):
-    return np.square(z)
-
-
-def square_activation_derivative(z):
-    return 2.0 * np.asarray(z)
+        gap = np.abs(sig - y)
+        if np.any(gap == 0.0):
+            raise NonFinite("sigma(ybar) == y somewhere; log-likelihood diverges")
+        return float(np.sum(np.log(gap)) / n)
+    return float(np.sum((sig - y) ** 2) / n)
 
 
 def _as2d(ybar, y):

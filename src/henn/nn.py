@@ -26,10 +26,6 @@ class ModelParams:
     lam: float = 0.0       # L2 coefficient; 0 disables
 
     @property
-    def hidden(self):
-        return self.W.shape[0]
-
-    @property
     def V_bar(self):
         """V without the bias column (c x m)."""
         return self.V[:, 1:]

@@ -30,7 +30,7 @@ from henn.encoding import (
 from henn.engine import EngineConfig, SlotEngine
 from henn.enc_train import EncryptedTrainer, fit_slots
 from henn.linalg import assemble_tiles, dvr_matmul, vr_matmul, vr_matmul_first_transposed
-from henn.losses import LossSpec, loss_value, s_matrix, s_matrix_sle1
+from henn.losses import LossSpec, loss_value, s_matrix
 from henn.nn import ModelParams, backward, forward, init_params
 from henn.train import default_sigmoid_poly, run_sle_experiment, train
 
@@ -217,8 +217,8 @@ def test_criterion_gradient_checks():
 
     ybar = rng.uniform(-4, 4, (500, 3))
     yy = dio.one_hot(rng.integers(0, 3, 500), 3)
-    agree = np.mean(np.sign(s_matrix_sle1(ybar, yy, simplified=False))
-                    == np.sign(s_matrix_sle1(ybar, yy, simplified=True)))
+    agree = np.mean(np.sign(s_matrix(LossSpec("sle1"), ybar, yy))
+                    == np.sign(s_matrix(LossSpec("sle1s"), ybar, yy)))
     assert agree >= 0.99
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"took {elapsed:.0f}s, budget 60s"

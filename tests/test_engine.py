@@ -12,7 +12,8 @@ from henn import _kernels
 from henn.encoding import (EncodedMatrix, Layout, keep_only, one_hot_mask, roll_fill,
                            segment_mask)
 from henn.engine import (EngineConfig, OpTrace, PlainMask, RotatedVector, SlotEngine,
-                         SparseVector, SumVector, UniformVector, _pattern, depth_report)
+                         SlotVector, SparseVector, SumVector, UniformVector, _pattern,
+                         depth_report)
 from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 from conftest import bits, make_classification_batch
@@ -729,8 +730,8 @@ def test_lazy_fast_paths_build_no_slots(backend):
 
 
 def test_lazy_forms_keep_the_trace():
-    """A flood that turns uniform and one that replays (NaN in its source)
-    record the same ops, uids and levels."""
+    """A flood that turns uniform and one that stays sparse (NaN in its
+    source) record the same ops, uids and levels."""
     entries = []
     for poison in (False, True):
         trace = OpTrace()
@@ -750,10 +751,10 @@ def test_lazy_forms_keep_the_trace():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pattern_is_the_zero_pattern_in_its_smallest_form(data):
-    """``_pattern(v)`` is ``v.slots * 0.0``, bit for bit: the float +0.0
-    when every slot is finite with a clear sign bit, else the sign bits
-    packed eight to a byte when every slot is finite, else the float array;
-    it is cached on v."""
+    """``_pattern(v)`` is ``v.slots * 0.0``, bit for bit, when every slot is
+    finite: the float +0.0 when no sign bit is set, else the sign bits
+    packed eight to a byte; it is None when a slot is not finite, and it is
+    cached on v."""
     size = data.draw(SIZES)
     kind = data.draw(st.sampled_from(sorted(ELEMENTS)))
     v = lazy_engine("exact", size).encrypt(
@@ -762,13 +763,56 @@ def test_pattern_is_the_zero_pattern_in_its_smallest_form(data):
     pattern = _pattern(v)
     assert _pattern(v) is pattern
     if not np.isfinite(v.slots).all():
-        assert pattern.dtype == np.float64 and pattern.tobytes() == want.tobytes()
+        assert pattern is None
     elif np.signbit(want).any():
         assert pattern.dtype == np.uint8 and pattern.shape == ((size + 7) // 8,)
         signs = np.unpackbits(pattern, count=size, bitorder="little").astype(bool)
         assert np.where(signs, -0.0, 0.0).tobytes() == want.tobytes()
     else:
         assert type(pattern) is float and np.full(size, pattern).tobytes() == want.tobytes()
+
+
+@fp_warnings_ignored
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_term_with_a_non_finite_zero_takes_the_dense_add(backend):
+    """Pending sums hold finite zeros only.  A window-1 sparse term whose
+    zeros hold NaN, a one-hot cmult of a rotation of a source with a NaN or
+    a uniform inf times a row (its float zero inf * 0.0 is NaN), added to or
+    subtracted from a pending sum gives a dense vector with the bits of the
+    dense composition; the next finite term starts a new pending sum on
+    it."""
+    size = 16
+    eng = lazy_engine(backend, size)
+    level = eng.config.level_budget if backend == "leveled" else None
+    poisoned = np.linspace(-1.0, 1.0, size)
+    poisoned[5] = np.nan
+    nan_src = eng.encrypt(poisoned)
+    src = eng.encrypt(np.linspace(0.5, 2.0, size))
+    row = eng.encrypt([1.0, -2.0, 3.0])
+    base = eng.encrypt(np.linspace(-3.0, 3.0, size))
+    placed = ref_keep(eng, np.roll(src.slots, -2), 4)
+
+    def place():
+        return eng.cmult(eng.rotate(src, 2), one_hot_mask(eng, 4))
+
+    terms = [
+        (lambda: eng.cmult(eng.rotate(nan_src, 3), one_hot_mask(eng, 7)),
+         ref_keep(eng, np.roll(nan_src.slots, -3), 7)),
+        (lambda: eng.mult(eng._uniform(float("inf"), size, level), row),
+         ref_mul(eng, np.full(size, float("inf")), row.slots)),
+    ]
+    for term, term_want in terms:
+        for op, ufunc in ((eng.add, np.add), (eng.sub, np.subtract)):
+            acc = eng.add(base, place())
+            assert type(acc) is SumVector
+            t = term()
+            assert type(t) is SparseVector
+            out = op(acc, t)
+            want = ufunc(base.slots + placed, term_want)
+            assert type(out) is SlotVector and bits(out.slots) == bits(want)
+            nxt = eng.add(out, place())
+            assert type(nxt) is SumVector and nxt._pending[0] is out
+            assert bits(nxt.slots) == bits(want + placed)
 
 
 @st.composite
@@ -1043,9 +1087,9 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
         built[f"sparse {zero} {support}"] += 1
         return build(v)
 
-    def counted_sum(v, base, terms, source):
+    def counted_sum(v, base, chain, source):
         built["sum"] += 1
-        return summed(v, base, terms, source)
+        return summed(v, base, chain, source)
 
     def counted_rotation(v):
         built["rotation"] += v.src is not None
@@ -1104,8 +1148,8 @@ def test_matmul_builds_its_accumulator_once_per_result_column(backend, monkeypat
     """Traffic guard: vr_matmul adds the n placed values of each of its p
     result columns into its accumulator as terms of one pending sum over
     that column's block sums, so the accumulator costs at most p full-width
-    passes (sum builds, and rotate_combine calls that combine two arrays,
-    which rotate_add does not), not one per placed value."""
+    passes (sum builds, and adds that take the dense path), not one per
+    placed value."""
     from henn.encoding import decode_matrix, encode_matrix
     from henn.linalg import vr_matmul
 
@@ -1116,18 +1160,19 @@ def test_matmul_builds_its_accumulator_once_per_result_column(backend, monkeypat
     a = encode_matrix(eng, A, Layout.FULL_MATRIX)
     b_t = encode_matrix(eng, B.T, Layout.FULL_MATRIX)
     passes = Counter()
-    combine, summed = _kernels.rotate_combine, SumVector._build
+    add, summed = SlotEngine.add, SumVector._build
 
-    def counted_combine(ufunc, x, y, shift):
-        passes["combine"] += x is not y
-        return combine(ufunc, x, y, shift)
+    def counted_add(self, x, y):
+        out = add(self, x, y)
+        passes["dense add"] += type(out) is SlotVector
+        return out
 
-    def counted_sum(v, base, terms, source):
+    def counted_sum(v, base, chain, source):
         passes["sum"] += 1
-        return summed(v, base, terms, source)
+        return summed(v, base, chain, source)
 
-    monkeypatch.setattr(_kernels, "rotate_combine", counted_combine)
+    monkeypatch.setattr(SlotEngine, "add", counted_add)
     monkeypatch.setattr(SumVector, "_build", counted_sum)
     product = decode_matrix(eng, vr_matmul(eng, a, b_t))
     assert np.max(np.abs(product - A @ B)) < 1e-6
-    assert passes["sum"] + passes["combine"] <= p
+    assert passes["sum"] + passes["dense add"] <= p

@@ -11,14 +11,8 @@ from henn.losses import (
     fit_sigmoid_poly,
     loss_value,
     s_matrix,
-    s_matrix_sle,
-    s_matrix_sle1,
-    s_matrix_sle2,
     sigmoid,
-    sle_log_likelihood,
     softmax_reference,
-    square_activation,
-    square_activation_derivative,
 )
 
 
@@ -50,29 +44,32 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(row, shift):
 
 
 def test_sle_log_likelihood_examples():
-    assert np.isclose(sle_log_likelihood([[0.0]], [[0.0]]), np.log(0.5))
-    assert np.isclose(sle_log_likelihood([[0.0]], [[1.0]]), np.log(0.5))
+    sle = LossSpec("sle")
+    assert np.isclose(loss_value(sle, [[0.0]], [[0.0]]), np.log(0.5))
+    assert np.isclose(loss_value(sle, [[0.0]], [[1.0]]), np.log(0.5))
     with pytest.raises(NonFinite):
         # sigma(0) == 0.5 == y exactly
-        sle_log_likelihood([[0.0]], [[0.5]])
+        loss_value(sle, [[0.0]], [[0.5]])
 
 
 def test_s_matrix_sle_examples():
-    assert np.isclose(s_matrix_sle([[0.0]], [[0.0]])[0, 0], 0.5)
-    assert np.isclose(s_matrix_sle([[0.0]], [[1.0]])[0, 0], -0.5)
-    assert np.isclose(s_matrix_sle([[40.0]], [[1.0]])[0, 0], -1.0, atol=1e-12)
+    sle = LossSpec("sle")
+    assert np.isclose(s_matrix(sle, [[0.0]], [[0.0]])[0, 0], 0.5)
+    assert np.isclose(s_matrix(sle, [[0.0]], [[1.0]])[0, 0], -0.5)
+    assert np.isclose(s_matrix(sle, [[40.0]], [[1.0]])[0, 0], -1.0, atol=1e-12)
 
 
 def test_s_matrix_sle1_examples():
-    assert np.isclose(s_matrix_sle1([[0.0]], [[0.0]])[0, 0], 0.25)
-    assert np.isclose(s_matrix_sle1([[0.0]], [[0.0]], simplified=True)[0, 0], 0.25)
-    assert np.isclose(s_matrix_sle1([[0.0]], [[1.0]], simplified=True)[0, 0], -0.25)
+    assert np.isclose(s_matrix(LossSpec("sle1"), [[0.0]], [[0.0]])[0, 0], 0.25)
+    assert np.isclose(s_matrix(LossSpec("sle1s"), [[0.0]], [[0.0]])[0, 0], 0.25)
+    assert np.isclose(s_matrix(LossSpec("sle1s"), [[0.0]], [[1.0]])[0, 0], -0.25)
 
 
 def test_s_matrix_sle2_examples():
-    assert np.array_equal(s_matrix_sle2([[1.0, 2.0]], [[1.0, 2.0]]), [[0.0, 0.0]])
-    assert np.isclose(s_matrix_sle2([[0.7]], [[1.0]])[0, 0], -0.6)
-    assert np.isclose(s_matrix_sle2([[3.0]], [[2.5]])[0, 0], 1.0)
+    sle2 = LossSpec("sle2")
+    assert np.array_equal(s_matrix(sle2, [[1.0, 2.0]], [[1.0, 2.0]]), [[0.0, 0.0]])
+    assert np.isclose(s_matrix(sle2, [[0.7]], [[1.0]])[0, 0], -0.6)
+    assert np.isclose(s_matrix(sle2, [[3.0]], [[2.5]])[0, 0], 1.0)
 
 
 def test_s_matrix_sle2_equals_mse_signal():
@@ -136,8 +133,8 @@ def test_simplified_signal_sign_agreement():
     ybar = rng.uniform(-4, 4, (200, 3))
     y = np.zeros((200, 3))
     y[np.arange(200), rng.integers(0, 3, 200)] = 1.0
-    exact = s_matrix_sle1(ybar, y, simplified=False)
-    simp = s_matrix_sle1(ybar, y, simplified=True)
+    exact = s_matrix(LossSpec("sle1"), ybar, y)
+    simp = s_matrix(LossSpec("sle1s"), ybar, y)
     agree = np.mean(np.sign(exact) == np.sign(simp))
     assert agree >= 0.99
 
@@ -184,13 +181,6 @@ def test_fit_sigmoid_poly_rank_deficient():
     with pytest.raises(IllConditioned):
         with np.errstate(all="ignore"):
             fit_sigmoid_poly(25, -1e-8, 1e-8, grid_points=26)
-
-
-def test_square_activation():
-    assert square_activation(3.0) == 9.0
-    assert square_activation_derivative(3.0) == 6.0
-    assert square_activation(0.0) == 0.0 == square_activation_derivative(0.0)
-    assert np.allclose(square_activation(np.array([1.0, -2.0, 0.5])), [1.0, 4.0, 0.25])
 
 
 def test_loss_spec_validation():

@@ -54,12 +54,17 @@ the dense kernel.
   product has the float zero ``t * 0.0`` (a signed zero, or NaN for a
   non-finite t; the rescale passes return both unchanged).  A row cut from
   a matrix with negative entries (zscore-scaled inputs) takes the scan,
-  which adds a -0.0 slot for each of them.
+  which adds a -0.0 slot for each of them.  Two window-1 sparse operands
+  with +0.0 float zeros on one slice support (the input block times an
+  encrypted weight row) give a sparse product of their values only: off
+  the support +0.0 * +0.0 is +0.0, which the rescale keeps.
 * ``cmult``: a dense mask takes the dense kernel.  A structured mask reads
   its picked slots from the operand, or from an unread rotation's source at
-  ``(index + k) % size``, and gives a window-1 sparse vector over that
-  vector's pattern: the dense product's slots at the mask's +0.0 slots, NaN
-  included.  A one-hot product is one call of a scalar kernel.
+  ``(index + k) % size`` (a slice of it when no picked slot wraps; the
+  kernel copies the picks, so no view pins the source), and gives a
+  window-1 sparse vector over that vector's pattern: the dense product's
+  slots at the mask's +0.0 slots, NaN included.  A one-hot product is one
+  call of a scalar kernel.
 * ``rotate`` gives a rotation.
 * ``rotate_add(v, k)`` of a sparse v whose window is k doubles the window,
   as ``roll_fill`` does after ``keep_only``.  When the window covers every
@@ -81,7 +86,8 @@ x + (-y) bit for bit: only the sign of the term's zeros flips.  Reading the
 slots walks the chain once and builds the sum in one pass:
 
 1. copy the base, as ``base + -0.0``: that is every slot unchanged, and
-   every NaN quieted, as any add quiets it;
+   every NaN quieted, as any add quiets it (an unread base is built into
+   the sum's own array, and the -0.0 added in place);
 2. fix the signed zeros.  With finite zeros, x + (+-0.0) is x for every x
    that is not a zero, and two zeros add to -0.0 only when both are -0.0;
    a sum that is zero after a non-zero operand is exact and so +0.0.
@@ -106,11 +112,15 @@ update subtracts.
 Reading ``slots`` of a lazy vector replays the dense composition, caches the
 read-only result on the vector and returns it, so both paths give the same
 bits; a rotation then drops its source, and a pending sum its base and
-terms.  That cache, and the zero pattern and support that ``_pattern`` and
-``_support`` cache, are the only state written after construction; filling
-each is idempotent, so two threads that race on it both see the same
-values.  Every op is still one engine call with its own uid, level and
-trace records, whatever the form of its operands.
+terms.  ``decrypt`` and a pending sum's base are owner builds (``_owned``):
+an unread lazy vector is built into an array that the caller owns, with
+no cache filled, so neither a decoded weight row nor a sum's base keeps
+full-width slots; a later read builds it again.  That cache, and the zero
+pattern and support that ``_pattern`` and ``_support`` cache, are the only
+state written after construction; filling each is idempotent, so two
+threads that race on it both see the same values.  Every op is still one
+engine call with its own uid, level and trace records, whatever the form of
+its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -334,7 +344,11 @@ class SumVector(_LazyVector):
             chain, term = chain
             terms.append(term)
         terms.reverse()
-        out = base.slots + -0.0          # x + -0.0 is x, with any NaN quieted
+        out = _owned(base)
+        if out is None:
+            out = base.slots + -0.0      # x + -0.0 is x, with any NaN quieted
+        else:
+            out += -0.0                  # in place: the array is this sum's own
         minus = np.flatnonzero(out.view(np.uint64) == _MINUS_ZERO)
         for ufunc, _, k, zero, support, _ in terms:
             if not minus.size:
@@ -414,6 +428,22 @@ def _support(v: SlotVector):
             support = np.flatnonzero(set_bits)
         v._support = support
     return support
+
+
+def _owned(v: SlotVector):
+    """The slots of an unread lazy v, built into a fresh buffer that the
+    caller owns without filling v's cache, so v pins no slots; None for a
+    dense or read v."""
+    t = type(v)
+    if t is SumVector:
+        pending = v._pending
+        return None if pending is None else v._build(*pending)
+    if t is RotatedVector:
+        src = v.src
+        return None if src is None else _kernels.rotate(src.slots, v.k)
+    if t is SlotVector or v._cache is not None:
+        return None
+    return v._build()
 
 
 class PlainMask:
@@ -592,7 +622,10 @@ class SlotEngine:
         return PlainMask(self._pad(values))
 
     def decrypt(self, v: SlotVector) -> np.ndarray:
-        return v.slots.copy()
+        """A writeable copy of v's slots; an unread lazy v is built straight
+        into it and stays unread (``_owned``)."""
+        out = _owned(v)
+        return v.slots.copy() if out is None else out
 
     def _new(self, slots: np.ndarray, level) -> SlotVector:
         return SlotVector(slots, level, next(self._uid))
@@ -669,7 +702,8 @@ class SlotEngine:
     def mult(self, a: SlotVector, b: SlotVector) -> SlotVector:
         """Slotwise product; leveled backend rescales and consumes one level.
         A uniform left operand enters as a scalar, and only the support of a
-        right operand that is +0.0 elsewhere is multiplied."""
+        right operand that is +0.0 elsewhere is multiplied, as only the
+        values of two such rows on one slice support are."""
         size = a.size
         if b.size != size:
             raise LengthMismatch(f"{size} vs {b.size} slots")
@@ -706,6 +740,12 @@ class SlotEngine:
                         values = _kernels.mult_rescale(t, values, self._scale)
                     sv = SparseVector(size, None, 0, t * 0.0, support, values, 1, level,
                                       next(self._uid))
+        elif (type(a) is SparseVector and type(b) is SparseVector and a.src is None
+              and b.src is None and a.window == 1 == b.window and type(a.support) is slice
+              and a.support == b.support and _is_plus(a.zero) and _is_plus(b.zero)):
+            # +0.0 * +0.0 off the support is +0.0, which the rescale keeps
+            sv = SparseVector(size, None, 0, 0.0, a.support, self._product(a.values, b.values),
+                              1, level, next(self._uid))
         else:
             sv = self._new(self._product(a.slots, b.slots), level)
         if self.trace is not None:
@@ -741,7 +781,12 @@ class SlotEngine:
                 value = (picked * m.value if level is None
                          else _kernels.cmult_rescale_float(picked, m.value, self._scale))
             else:
-                picked = src.slots[(np.arange(*index.indices(size)) + k) % size]
+                start, stop, step = index.indices(size)
+                if step > 0 and stop + k <= size:      # no wrap: a view, read once below
+                    picked = src.slots[start + k:stop + k:step]
+                else:
+                    picked = src.slots[(np.arange(start, stop, step) + k) % size]
+                # the kernels write a fresh array: a stored view would pin src's slots
                 value = (picked * m.value if level is None else _kernels.mult_rescale(
                     picked, _kernels.quantize_float(m.value, self._scale), self._scale))
             if size == 1:

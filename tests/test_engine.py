@@ -553,6 +553,61 @@ def test_product_of_uniform_and_sparse_matches_dense(case):
 
 
 @st.composite
+def row_pair(draw):
+    """(engine, a, b, whether mult takes the shared-support form).  a and b
+    are window-1 sparse rows of encrypted values (-0.0, NaN and infinities
+    among them) with float zeros: on equal slice supports, or b on another
+    support, b doubled once to window 2, or either side multiplied by a
+    uniform negative t so that its zeros are -0.0.  A uniform positive t
+    puts one operand a level lower and keeps +0.0."""
+    backend = draw(st.sampled_from(["exact", "leveled"]))
+    size = draw(st.sampled_from([8, 16, 32, 64]))
+    eng = lazy_engine(backend, size)
+    level = eng.config.level_budget if backend == "leveled" else None
+    n = draw(st.integers(0, size))
+    vals = [draw(arrays(np.float64, size, elements=ELEMENTS["any"])) for _ in range(2)]
+    a, b = eng.encrypt(vals[0][:n]), eng.encrypt(vals[1][:n])
+    if draw(st.booleans()):
+        b = eng.mult(eng._uniform(draw(st.floats(0.0, 4.0)), size, level), b)
+    form = draw(st.sampled_from(["equal", "equal", "other support", "window 2", "-0.0 zero"]))
+    if form == "other support":
+        b = eng.encrypt(vals[1][:draw(st.integers(0, size).filter(lambda m: m != n))])
+    elif form == "window 2":
+        b = eng.rotate_add(b, 1)
+    elif form == "-0.0 zero":
+        t = eng._uniform(draw(st.floats(-4.0, -1e-3)), size, level)
+        if draw(st.booleans()):
+            a = eng.mult(t, a)
+        else:
+            b = eng.mult(t, b)
+    if draw(st.booleans()):
+        a, b = b, a
+    return eng, a, b, form == "equal"
+
+
+@fp_warnings_ignored
+@settings(max_examples=400, deadline=None)
+@given(row_pair(), st.sampled_from(["neither", "a", "b", "both"]))
+def test_product_of_rows_on_one_support_matches_dense(case, read):
+    """mult of two window-1 sparse rows whose zeros are +0.0 on equal slice
+    supports multiplies their values only: a sparse product over that
+    support, built from neither operand's slots, read first or not.  Other
+    supports, a wider window or a -0.0 zero take the dense kernel.  Either
+    way bits and level are those of the dense product."""
+    eng, a, b, shared = case
+    level = None if a.level is None else min(a.level, b.level) - 1
+    for v, name in ((a, "a"), (b, "b")):
+        if read in (name, "both"):
+            v.slots
+    prod = eng.mult(a, b)
+    assert type(prod) is (SparseVector if shared else SlotVector)
+    if shared and read == "neither":
+        assert a._cache is None and b._cache is None
+    assert prod.level == level
+    assert bits(prod.slots) == bits(eng._product(a.slots, b.slots))
+
+
+@st.composite
 def rotation(draw):
     """(engine, source vector, a shift k: 0, 1, S - 1 or any, negative too)."""
     eng, a, idx = draw(source())
@@ -634,6 +689,30 @@ def test_slice_cmult_of_rotation_matches_dense(data):
         assert bits(op(p).slots) == bits(ref(want))
         assert bits(p.slots) == bits(want)
         assert bits(r.slots) == bits(rolled)
+
+
+@fp_warnings_ignored
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("shift", ["0", "1", "size-stop", "size-stop+1", "size-1"])
+def test_slice_cmult_reads_a_window_that_does_not_wrap_as_a_slice(backend, step, shift):
+    """cmult of a rotation by k with a slice mask reads src[start+k:stop+k:step]
+    when no picked slot wraps (k <= size - stop) and the wrapped indices
+    otherwise; both give the dense composition's bits, and the sparse
+    vector's values are a fresh array, never a view that would pin the
+    source's slots."""
+    size, start, stop = 64, 5, 21
+    k = {"0": 0, "1": 1, "size-stop": size - stop, "size-stop+1": size - stop + 1,
+         "size-1": size - 1}[shift]
+    eng = lazy_engine(backend, size)
+    vals = np.linspace(-2.0, 2.0, size)
+    vals[[6, 9, 30, 47, 63]] = [-0.0, np.nan, np.inf, -np.inf, 0.0]
+    src = eng.encrypt(vals)
+    index = slice(start, stop, step)
+    p = eng.cmult(eng.rotate(src, k), PlainMask.structured(size, index, 2.5))
+    assert type(p) is SparseVector and p.src is src and p.k == k
+    assert not np.shares_memory(p.values, src.slots)
+    assert bits(p.slots) == bits(ref_cmult(eng, np.roll(src.slots, -k), index, 2.5))
 
 
 @fp_warnings_ignored
@@ -727,6 +806,38 @@ def test_lazy_fast_paths_build_no_slots(backend):
     eng.add(d, row)
     eng.add(d, eng.mult(u, row))
     assert row._cache is None and r._cache is None and u._cache is None
+
+
+@fp_warnings_ignored
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_decrypt_of_an_unread_lazy_vector_fills_no_cache(backend):
+    """decrypt builds an unread sparse vector, rotation, pending sum or
+    uniform vector into a writeable array of its own: the vector stays
+    unread, the array has the bits of a later ``slots`` read, and writing to
+    it changes no later read.  A read vector is copied."""
+    size = 64
+    eng = lazy_engine(backend, size)
+    level = eng.config.level_budget if backend == "leveled" else None
+    src = eng.encrypt(np.linspace(-2.0, 2.0, size))
+    src.slots
+    vals = np.linspace(-2.0, 2.0, size)
+    vals[[3, 8]] = [-0.0, np.nan]
+    vectors = {
+        "sparse": eng.encrypt(vals[:40]),
+        "rotation": eng.rotate(src, 5),
+        "sum": eng.add(eng.encrypt(vals), eng.cmult(eng.rotate(src, 2), one_hot_mask(eng, 4))),
+        "uniform": eng._uniform(-1.5, size, level),
+    }
+    assert type(vectors["sum"]) is SumVector
+    for name, v in vectors.items():
+        out = eng.decrypt(v)
+        assert v._cache is None, name
+        assert out.flags.writeable, name
+        got = out.copy()
+        out[:] = 7.0
+        assert bits(v.slots) == bits(got), name
+        again = eng.decrypt(v)
+        assert not np.shares_memory(again, v.slots) and bits(again) == bits(got), name
 
 
 def test_lazy_forms_keep_the_trace():

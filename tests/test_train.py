@@ -1,5 +1,8 @@
 """Training orchestration across backends, reports, the experiment protocol."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,3 +265,29 @@ def test_weight_decode_holds_one_full_width_row_at_a_time():
     for row in rows:
         row.slots                       # build the lazy rows outside the measurement
     assert traced_peak(trainer.current_weights) < len(rows) * 4096 * 8 / 2
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_step_and_decode_pin_no_full_width_weight_row(backend):
+    """After one step and a decode, training holds less than half a
+    full-width vector per weight row (desk scale: iris, hidden 16, 4096
+    slots).  The hidden-layer products take the encrypted weight rows'
+    values without building their slots, and decode builds each updated row
+    into an array of its own, so no hidden-weight row keeps its 32 KB."""
+    batch = preprocess(load_iris())
+    m, c, slots = 16, batch.Y.shape[1], 4096
+    params = init_params(batch.d, m, c, 0, eta=0.01)
+    trainer = EncryptedTrainer(SlotEngine(EngineConfig(slots=slots, backend=backend)), batch,
+                               params, LossSpec("sle2"))
+    gc.collect()            # a full collection also empties the free lists tracemalloc counts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trainer.iterate()
+        weights = trainer.current_weights()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert weights[0].shape == (m, batch.d + 1)
+    assert held < (m + c) * slots * 8 / 2

@@ -254,9 +254,8 @@ def cmd_sle_experiment(opts) -> int:
         cols = {}
         for kind in losses:
             curve = result["curves"][f"{kind}@{lr:g}"]
-            cols.update({f"{kind}_{key}": curve[key + "_mean"]
-                         for key in ("train_loss", "train_accuracy", "test_loss", "test_accuracy")
-                         if key + "_mean" in curve})
+            cols.update({f"{kind}_{key.removesuffix('_mean')}": col
+                         for key, col in curve.items() if key.endswith("_mean")})
         path = outdir / f"curves_lr{lr:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)

@@ -109,18 +109,20 @@ values and support, so an unread sum pins no full-width vector besides its
 base: not a matmul column's block sums, nor the gradient row that a weight
 update subtracts.
 
-Reading ``slots`` of a lazy vector replays the dense composition, caches the
-read-only result on the vector and returns it, so both paths give the same
-bits; a rotation then drops its source, and a pending sum its base and
-terms.  ``decrypt`` and a pending sum's base are owner builds (``_owned``):
-an unread lazy vector is built into an array that the caller owns, with
+Each lazy form has one ``_build``, which replays the dense composition into
+a fresh array and clears nothing.  Reading ``slots`` caches the read-only
+build on the vector and returns it, so both paths give the same bits;
+``_drop`` then releases the build's inputs: a rotation's source, a pending
+sum's base and terms.  ``decrypt`` and a pending sum's base are owner builds
+(``_owned``): an unread lazy vector's ``_build``, which the caller owns, with
 no cache filled, so neither a decoded weight row nor a sum's base keeps
 full-width slots; a later read builds it again.  That cache, and the zero
 pattern and support that ``_pattern`` and ``_support`` cache, are the only
-state written after construction; filling each is idempotent, so two
-threads that race on it both see the same values.  Every op is still one
-engine call with its own uid, level and trace records, whatever the form of
-its operands.
+state written after construction; filling each is idempotent, and inputs
+are dropped only after the cache is set (a build that finds them dropped
+returns it), so two threads that race on it both see the same values.
+Every op is still one engine call with its own uid, level and trace
+records, whatever the form of its operands.
 
 All operations are pure: inputs are never mutated.  An engine may carry an
 OpTrace; traces are not locked and must stay confined to one thread (ops on
@@ -220,7 +222,11 @@ class _LazyVector(SlotVector):
             out = self._build()
             out.flags.writeable = False
             self._cache = out
+            self._drop()
         return out
+
+    def _drop(self):
+        pass
 
 
 class UniformVector(_LazyVector):
@@ -240,8 +246,8 @@ class UniformVector(_LazyVector):
 
 
 class RotatedVector(_LazyVector):
-    """``rotate(src, k)``, k already reduced modulo the slot count.  Building
-    the slots drops ``src``, so ``src is None`` once they are built."""
+    """``rotate(src, k)``, k already reduced modulo the slot count.  Reading
+    the slots drops ``src``, so ``src is None`` once they are read."""
 
     __slots__ = ("src", "k")
 
@@ -253,18 +259,12 @@ class RotatedVector(_LazyVector):
         self.uid = uid
         self._cache = None
 
-    @property
-    def slots(self) -> np.ndarray:
-        # src is read once and cleared only after _cache is set, so a reader
-        # that still sees it may build from it and one that does not finds
-        # the cache filled.
+    def _build(self):
         src = self.src
-        if src is not None:
-            out = _kernels.rotate(src.slots, self.k)
-            out.flags.writeable = False
-            self._cache = out
-            self.src = None
-        return self._cache
+        return self._cache if src is None else _kernels.rotate(src.slots, self.k)
+
+    def _drop(self):
+        self.src = None
 
 
 class SparseVector(_LazyVector):
@@ -325,20 +325,13 @@ class SumVector(_LazyVector):
         self.uid = uid
         self._cache = None
 
-    @property
-    def slots(self) -> np.ndarray:
-        # as for RotatedVector: _pending is read once, cleared after _cache
-        pending = self._pending
-        if pending is not None:
-            out = self._build(*pending)
-            out.flags.writeable = False
-            self._cache = out
-            self._pending = None
-        return self._cache
-
-    def _build(self, base, chain, source):
+    def _build(self):
         """The slots of base and the terms of chain, in one pass (see the
         module docstring)."""
+        pending = self._pending
+        if pending is None:
+            return self._cache
+        base, chain, source = pending
         terms = []
         while chain is not None:
             chain, term = chain
@@ -368,6 +361,9 @@ class SumVector(_LazyVector):
         for _, scalar_op, _, _, support, values in terms:
             out[support] = scalar_op(out[support], values)
         return out
+
+    def _drop(self):
+        self._pending = None
 
 
 _MINUS_ZERO = 0x8000000000000000      # the bits of -0.0
@@ -431,19 +427,12 @@ def _support(v: SlotVector):
 
 
 def _owned(v: SlotVector):
-    """The slots of an unread lazy v, built into a fresh buffer that the
-    caller owns without filling v's cache, so v pins no slots; None for a
-    dense or read v."""
-    t = type(v)
-    if t is SumVector:
-        pending = v._pending
-        return None if pending is None else v._build(*pending)
-    if t is RotatedVector:
-        src = v.src
-        return None if src is None else _kernels.rotate(src.slots, v.k)
-    if t is SlotVector or v._cache is not None:
+    """The ``_build`` of an unread lazy v, which the caller owns: v's cache
+    stays empty, so v pins no slots; None for a dense or read v."""
+    if type(v) is SlotVector or v._cache is not None:
         return None
-    return v._build()
+    out = v._build()
+    return None if out is v._cache else out     # a read that raced this build
 
 
 class PlainMask:

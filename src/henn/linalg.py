@@ -3,10 +3,11 @@
 The core loop computes the product one result column at a time: replicate one
 row of the transposed operand across all row blocks of the other operand,
 multiply slotwise, collapse each block to its row sum, then mask/rotate the n
-values into their final column positions.  A two-team tiled variant
-(dvr_matmul) runs the same loop per pair of tiles so matrices larger than one
-vector still multiply; its outer loop walks ciphertext pairs and the inner
-loop is the base algorithm.
+values into their final column positions.  A full-matrix transposed operand
+has each row cut out at the start of its own column, so no cut row outlives
+its column.  A two-team tiled variant (dvr_matmul) runs the same loop per
+pair of tiles so matrices larger than one vector still multiply; its outer
+loop walks ciphertext pairs and the inner loop is the base algorithm.
 
 Level cost per product is constant: three rescalings on the left operand's
 dataflow, plus one more on the right operand when its rows must first be cut
@@ -49,15 +50,6 @@ def _column_pass(engine, a_vec, n, k, p, q, b_rep, acc):
     return _place(engine, sums, ((i * k, i * p + q) for i in range(n)), acc)
 
 
-def _rows_of(engine, b_t: EncodedMatrix):
-    """Clean zero-padded row vectors of the transposed operand."""
-    if b_t.layout is Layout.ROW_PER_CIPHERTEXT:
-        return list(b_t.parts)
-    if b_t.layout is Layout.FULL_MATRIX:
-        return [extract_row(engine, b_t, q) for q in range(b_t.rows)]
-    raise DimensionMismatch(f"unsupported layout for transposed operand: {b_t.layout.value}")
-
-
 def vr_matmul(engine: SlotEngine, a: EncodedMatrix, b_t: EncodedMatrix) -> EncodedMatrix:
     """Multiply a (n x k, FULL_MATRIX) by b given as its transpose b_t (p x k).
 
@@ -68,14 +60,17 @@ def vr_matmul(engine: SlotEngine, a: EncodedMatrix, b_t: EncodedMatrix) -> Encod
         raise DimensionMismatch("left operand must be FULL_MATRIX")
     if a.cols != b_t.cols:
         raise DimensionMismatch(f"inner dimensions differ: {a.cols} vs {b_t.cols}")
+    if b_t.layout not in (Layout.ROW_PER_CIPHERTEXT, Layout.FULL_MATRIX):
+        raise DimensionMismatch(f"unsupported layout for transposed operand: {b_t.layout.value}")
     n, k, p = a.rows, a.cols, b_t.rows
     if n == 0 or p == 0:
         raise DimensionMismatch("empty operand")
     _check_result_fits(engine, n, p)
-    rows = _rows_of(engine, b_t)
     acc = None
     for q in range(p):
-        b_rep = windowed_sum(engine, rows[q], n, -k)
+        row = (extract_row(engine, b_t, q) if b_t.layout is Layout.FULL_MATRIX
+               else b_t.parts[q])
+        b_rep = windowed_sum(engine, row, n, -k)
         acc = _column_pass(engine, a.parts[0], n, k, p, q, b_rep, acc)
     return EncodedMatrix(n, p, Layout.FULL_MATRIX, (acc,))
 

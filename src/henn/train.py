@@ -19,9 +19,9 @@ import numpy as np
 
 from .enc_train import EncryptedTrainer
 from .engine import BACKENDS, EngineConfig, OpTrace, SlotEngine, depth_report
-from .errors import DepthExhausted
-from .losses import LossSpec, PolyApprox, fit_sigmoid_poly, loss_value
-from .nn import ModelParams, accuracy, backward, evaluate, forward, init_params, sgd_step
+from .errors import DepthExhausted, NonFinite
+from .losses import LossSpec, PolyApprox, fit_sigmoid_poly
+from .nn import ModelParams, backward, evaluate, forward, init_params, sgd_step
 
 TRAIN_BACKENDS = ("plain", *BACKENDS)
 DEFAULT_HIDDEN_CLASSIFICATION = 120
@@ -255,46 +255,35 @@ def compare_backends(batch, *, backends=("plain", "exact"), seed: int = 0,
 
 
 def _experiment_repeat(args):
-    (X, Y, labels, Xt, Yt, labels_t, kind, lr, hidden, seed, epochs) = args
-    spec = LossSpec(kind)
-    params = init_params(X.shape[1] - 1, hidden, Y.shape[1], seed, eta=lr)
-    rows = []
-    for _ in range(epochs):
-        tr = forward(params, X)
-        gW, gV = backward(params, X, Y, tr, spec)
-        params = sgd_step(params, gW, gV)
-        tr = forward(params, X)
-        entry = {
-            "train_loss": loss_value(spec, tr.Yhat, Y),
-            "train_accuracy": accuracy(tr.Yhat, labels),
-        }
-        if Xt is not None:
-            tt = forward(params, Xt)
-            entry["test_loss"] = loss_value(spec, tt.Yhat, Yt)
-            entry["test_accuracy"] = accuracy(tt.Yhat, labels_t)
-        rows.append(entry)
-    return rows
+    """One repeat's rows from train(), training metrics named ``train_*``."""
+    train_batch, test_batch, kind, lr, hidden, seed, epochs = args
+    report = train(train_batch, loss=kind, hidden=hidden, eta=lr, iterations=epochs,
+                   backend="plain", seed=seed, sigmoid_poly=None, test_batch=test_batch)
+    if report.halted is not None:
+        raise NonFinite(f"{kind}@{lr:g} seed {seed}: {report.halted['detail']}")
+    return [{key if key.startswith("test_") else "train_" + key: row[key]
+             for key in row if key not in ("iter", "min_level")}
+            for row in report.iterations]
 
 
 def run_sle_experiment(train_batch, test_batch, *, losses=("sle1", "sle2"),
                        lrs=(0.12, 0.01), repeats: int = 12, epochs: int = 30,
                        hidden: int = 120, seed: int = 0, workers: int = 1) -> dict:
-    """Repeat plaintext training for each (loss, learning-rate) pair and
-    average the per-epoch train/test loss and accuracy curves.
+    """Repeat plaintext training (``train`` on the plain backend) for each
+    (loss, learning-rate) pair and average the per-epoch curves:
+    ``train_loss`` plus ``train_accuracy`` (classification) or ``train_rmse``
+    (regression), and the same ``test_*`` keys when there is a test batch.
 
     Per-repeat seeds derive as seed + repeat index, so parallel execution
-    (workers > 1) aggregates identically to the sequential run.
+    (workers > 1) aggregates identically to the sequential run.  A repeat
+    that halts on a non-finite metric or weight raises NonFinite naming
+    ``kind@lr``, its seed and the halt detail, which names the iteration.
     """
-    X, Y, labels = train_batch.X, train_batch.Y, train_batch.labels
-    if test_batch is not None:
-        Xt, Yt, labels_t = test_batch.X, test_batch.Y, test_batch.labels
-    else:
-        Xt = Yt = labels_t = None
     out = {"hidden": hidden, "repeats": repeats, "epochs": epochs, "seed": seed,
            "curves": {}}
     for kind in losses:
         for lr in lrs:
-            jobs = [(X, Y, labels, Xt, Yt, labels_t, kind, lr, hidden, seed + r, epochs)
+            jobs = [(train_batch, test_batch, kind, lr, hidden, seed + r, epochs)
                     for r in range(repeats)]
             if workers > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -302,10 +291,8 @@ def run_sle_experiment(train_batch, test_batch, *, losses=("sle1", "sle2"),
             else:
                 all_rows = [_experiment_repeat(j) for j in jobs]
             curve = {}
-            keys = all_rows[0][0].keys()
-            for key in keys:
-                per_epoch = np.array([[rows[e][key] for rows in all_rows]
-                                      for e in range(epochs)])
+            for key in all_rows[0][0]:
+                per_epoch = np.array([[rows[e][key] for rows in all_rows] for e in range(epochs)])
                 curve[key + "_mean"] = [float(v) for v in per_epoch.mean(axis=1)]
             curve["per_repeat_train_loss"] = [[float(r["train_loss"]) for r in rows]
                                               for rows in all_rows]

@@ -107,7 +107,8 @@ def test_fit_sigmoid_cli(tmp_path):
     assert abs(json.loads(out1.read_text())["coefficients"][0] - 0.5) < 1e-9
 
 
-def test_sle_experiment_smoke(tmp_path):
+def write_mnist_fixture(tmp_path):
+    """Random 28 x 28 IDX images and labels: 80 train and 20 test records."""
     rng = np.random.default_rng(1)
     n, side = 80, 28
     images = rng.integers(0, 256, (n, side * side), dtype=np.uint8)
@@ -118,6 +119,11 @@ def test_sle_experiment_smoke(tmp_path):
     dio.write_idx_labels(datadir / "train-labels-idx1-ubyte", labels)
     dio.write_idx_images(datadir / "t10k-images-idx3-ubyte", images[:20])
     dio.write_idx_labels(datadir / "t10k-labels-idx1-ubyte", labels[:20])
+    return datadir
+
+
+def test_sle_experiment_smoke(tmp_path):
+    datadir = write_mnist_fixture(tmp_path)
     out = tmp_path / "run"
     code = run(["sle-experiment", "--data-dir", str(datadir), "--subset", "60",
                 "--hidden", "8", "--repeats", "1", "--epochs", "2",
@@ -131,6 +137,17 @@ def test_sle_experiment_smoke(tmp_path):
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0][0] == "epoch" and len(rows) == 3
+
+
+def test_diverging_sle_experiment_exits_non_finite_and_writes_no_report(tmp_path, capsys):
+    datadir = write_mnist_fixture(tmp_path)
+    out = tmp_path / "run"
+    code = run(["sle-experiment", "--data-dir", str(datadir), "--subset", "60",
+                "--hidden", "8", "--repeats", "1", "--epochs", "8", "--losses", "sle2",
+                "--lrs", "50", "--out", str(out)])
+    assert code == 5
+    assert "sle2@50 seed 0" in capsys.readouterr().err
+    assert not (out / "sle_experiment.json").exists()
 
 
 def test_mnist_encrypted_requires_yes_huge(tmp_path):

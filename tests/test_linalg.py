@@ -14,6 +14,8 @@ from henn.linalg import (
     vr_matmul_repeated,
 )
 
+from conftest import traced_peak
+
 
 def exact(slots=256):
     return SlotEngine(EngineConfig(slots=slots, backend="exact"))
@@ -156,3 +158,24 @@ def test_leveled_tolerance():
     b = rng.uniform(-1, 1, (7, 5))
     out = decode_matrix(eng, vr_matmul(eng, enc(eng, a), enc(eng, b.T.copy())))
     assert np.max(np.abs(out - a @ b)) <= 1e-5
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_matmul_holds_one_cut_row_at_a_time(backend):
+    """Memory guard: vr_matmul cuts each row of a full-matrix transposed
+    operand in its own column's pass, so a cut row, built full width when its
+    column reads it, is freed after that column.  Cutting the p rows up front
+    held all of them until the product returned: a peak near p full-width
+    vectors.  The bound is p/2 of them (n = 16, k = 8, p = 32, 4096 slots,
+    operands read before the product)."""
+    n, k, p, slots = 16, 8, 32, 4096
+    rng = np.random.default_rng(0)
+    A, B = rng.uniform(-1, 1, (n, k)), rng.uniform(-1, 1, (k, p))
+    eng = SlotEngine(EngineConfig(slots=slots, backend=backend))
+    a, b_t = enc(eng, A), enc(eng, B.T.copy())
+    for v in (a.parts[0], b_t.parts[0]):
+        v.slots
+    out = []
+    peak = traced_peak(lambda: out.append(vr_matmul(eng, a, b_t)))
+    assert np.max(np.abs(decode_matrix(eng, out[0]) - A @ B)) < 1e-6
+    assert peak < p // 2 * slots * 8

@@ -22,10 +22,16 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["iris-desk-exact", "dvr-matmul-leveled",
-                                      "iris-paper-leveled"])
-def test_short_traced_benchmark_run_is_correct(workload):
-    proc = run_script("perfbench/run.py", "--workload", workload, "--seed", "0",
+@pytest.mark.parametrize("workload,seed", [
+    pytest.param(workload, 0, id=workload)
+    for workload in ("iris-desk-exact", "dvr-matmul-leveled", "iris-paper-leveled")
+] + [
+    # a second recorded digest for the two small workloads
+    pytest.param(workload, 1, id=f"{workload}-seed1")
+    for workload in ("iris-desk-exact", "dvr-matmul-leveled")
+])
+def test_short_traced_benchmark_run_is_correct(workload, seed):
+    proc = run_script("perfbench/run.py", "--workload", workload, "--seed", str(seed),
                       "--seconds", "1", "--trace", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

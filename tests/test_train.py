@@ -9,7 +9,7 @@ import pytest
 from henn.data import Batch, load_iris, one_hot, preprocess
 from henn.enc_train import EncryptedTrainer, fit_slots
 from henn.engine import EngineConfig, SlotEngine
-from henn.errors import MatrixTooLarge
+from henn.errors import MatrixTooLarge, NonFinite
 from henn.losses import LossSpec, PolyApprox
 from henn.nn import init_params
 from henn.train import (
@@ -250,6 +250,33 @@ def test_sle_experiment_parallel_matches_sequential():
     seq = run_sle_experiment(tr, te, workers=1, **kw)
     par = run_sle_experiment(tr, te, workers=2, **kw)
     assert seq["curves"] == par["curves"]
+
+
+def test_sle_experiment_raises_on_a_diverging_repeat():
+    """A repeat whose run halts on a non-finite value raises NonFinite naming
+    its loss@rate, its seed and the iteration, instead of averaging NaN into
+    the curves (unscaled blobs, sle2 at learning rate 50)."""
+    rng = np.random.default_rng(11)
+    tr, te = make_blobs_784(rng, 60, 30)
+    with pytest.raises(NonFinite, match=r"sle2@50 seed 3: .* at iteration \d+$"):
+        run_sle_experiment(tr, te, losses=("sle2",), lrs=(50.0,), repeats=1, epochs=8,
+                           hidden=8, seed=3)
+
+
+def test_sle_experiment_reports_rmse_for_a_regression_batch():
+    """A regression batch has no labels, so its curves hold the train and
+    test rmse, as train() reports them, and no accuracy."""
+    rng = np.random.default_rng(12)
+    tr, te = make_regression_batch(rng, 40, 3), make_regression_batch(rng, 20, 3)
+    out = run_sle_experiment(tr, te, losses=("mse",), lrs=(0.05,), repeats=1, epochs=3,
+                             hidden=4, seed=2)
+    curve = out["curves"]["mse@0.05"]
+    assert set(curve) == {"train_loss_mean", "train_rmse_mean", "test_loss_mean",
+                          "test_rmse_mean", "per_repeat_train_loss"}
+    rep = train(tr, loss="mse", hidden=4, eta=0.05, iterations=3, seed=2, test_batch=te)
+    assert curve["train_rmse_mean"] == [row["rmse"] for row in rep.iterations]
+    assert curve["test_rmse_mean"] == [row["test_rmse"] for row in rep.iterations]
+    assert min(curve["train_rmse_mean"] + curve["test_rmse_mean"]) > 0.0
 
 
 def test_weight_decode_holds_one_full_width_row_at_a_time():

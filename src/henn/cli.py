@@ -182,7 +182,7 @@ def _write_series(path, report, task):
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(header)
-        w.writerow([0, report.initial["loss"], report.initial.get(metric, "")])
+        w.writerow([0, report.initial.get("loss", ""), report.initial.get(metric, "")])
         for row in report.iterations:
             w.writerow([row["iter"], row["loss"], row.get(metric, "")])
 

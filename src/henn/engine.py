@@ -31,7 +31,10 @@ hold what defines their slots instead of the slots themselves:
   so the n placements of one source that a pending sum adds share it: the
   float +0.0 when no slot has its sign bit set, else the sign bits, eight
   to a byte.  ``encrypt`` gives one of its values on the first slots and
-  +0.0 elsewhere, so encrypting a short vector allocates no slots.
+  +0.0 elsewhere, so encrypting a short vector allocates no slots.  A slice
+  run (``_run``: window 1, a step-1 slice, a float +-0.0 zero or a +0.0
+  pattern, or an unread rotation of such) has its values on slots [lo, hi),
+  which do not wrap, and a float +-0.0 on every other slot.
 * pending sum (``SumVector``): a base vector and the window-1 sparse terms
   added to it or subtracted from it, in order.
 
@@ -42,8 +45,11 @@ the dense kernel.
 
 * ``add``/``sub`` (``_sum``): two uniform operands give one float through
   ``operator.add``/``sub``, the IEEE operation the dense form applies to
-  each slot; then an unread window-1 sparse right operand with a finite
-  zero becomes a term of a pending sum (below).
+  each slot; then two runs whose union is one run give a run over it (each
+  zero filled in off its own run, ``scalar_op`` of the zeros off the union),
+  unless the right operand is unread sparse on another run: that and any
+  other unread window-1 sparse right operand with a finite zero becomes a
+  term of a pending sum (below), one pass over its own support.
 * ``mult``: a uniform left operand t enters as a scalar.  With a uniform
   right operand the product is one float through the scalar kernel; with a
   window-1 sparse x whose zeros are +0.0, only x's own support is
@@ -54,36 +60,39 @@ the dense kernel.
   product has the float zero ``t * 0.0`` (a signed zero, or NaN for a
   non-finite t; the rescale passes return both unchanged).  A row cut from
   a matrix with negative entries (zscore-scaled inputs) takes the scan,
-  which adds a -0.0 slot for each of them.  Two window-1 sparse operands
-  with +0.0 float zeros on one slice support (the input block times an
-  encrypted weight row) give a sparse product of their values only: off
-  the support +0.0 * +0.0 is +0.0, which the rescale keeps.
+  which adds a -0.0 slot for each of them.  Two runs with +0.0 zeros on
+  one slice (the input block times an encrypted weight row) give a run of
+  the product of their values: +0.0 * +0.0 is +0.0, which rescaling keeps.
 * ``cmult``: a dense mask takes the dense kernel.  A structured mask reads
   its picked slots from the operand, or from an unread rotation's source at
   ``(index + k) % size`` (a slice of it when no picked slot wraps; the
   kernel copies the picks, so no view pins the source), and gives a
   window-1 sparse vector over that vector's pattern: the dense product's
-  slots at the mask's +0.0 slots, NaN included.  A one-hot product is one
-  call of a scalar kernel.
+  slots at the mask's +0.0 slots, NaN included; a run that is no rotation,
+  by a mask on its own slice, gives a run of its values times the mask, its
+  zero times +0.0.  A one-hot product is one call of a scalar kernel.
 * ``rotate`` gives a rotation.
 * ``rotate_add(v, k)`` of a sparse v whose window is k doubles the window,
   as ``roll_fill`` does after ``keep_only``.  When the window covers every
   slot (so also a one-hot ``cmult`` at one slot), the support is one slot
   with a finite non-zero value v and every zero is finite, the vector
   becomes uniform: each slot sums one v and signed zeros, and v + (+-0.0)
-  == v.
+  == v.  Else a run and its rotated copy merge as in ``add``.  So the grad
+  rows of ``enc_train`` are runs, not pending sums; their replication, masks
+  and subtraction stay on n * width values, and an updated weight row is a
+  +0.0 run, which the next step's products take unbuilt.
 
 ``add``/``sub`` with an unread window-1 sparse right operand give a pending
-sum: the placements of the forward matmuls (``linalg``), the gradient sums
-in ``enc_train`` and the masked terms of its update.  Its terms have finite
-zeros only: a float +-0.0, or the pattern of a finite source.  A term whose
-zero holds a NaN or an infinity (a source with one, or the float zero
-``t * 0.0`` of a non-finite t) takes the dense add, the reference that the
-pass below matches; no CKKS ciphertext holds such a slot.  Adding a term to
-an unread pending sum gives a longer one, which shares the shorter one's
-immutable chain of terms.  ``sub`` fits the same form, because x - y is
-x + (-y) bit for bit: only the sign of the term's zeros flips.  Reading the
-slots walks the chain once and builds the sum in one pass:
+sum: the placements of the forward matmuls (``linalg``) and of the hidden
+re-layout in ``enc_train``.  Its terms have finite zeros only: a float
++-0.0, or the pattern of a finite source.  A term whose zero holds a NaN or
+an infinity (a source with one, or the float zero ``t * 0.0`` of a
+non-finite t) takes the dense add, the reference that the pass below
+matches; no CKKS ciphertext holds such a slot.  Adding a term to an unread
+pending sum gives a longer one, which shares the shorter one's immutable
+chain of terms.  ``sub`` fits the same form, because x - y is x + (-y) bit
+for bit: only the sign of the term's zeros flips.  Reading the slots walks
+the chain once and builds the sum in one pass:
 
 1. copy the base, as ``base + -0.0``: that is every slot unchanged, and
    every NaN quieted, as any add quiets it (an unread base is built into
@@ -106,8 +115,7 @@ another source builds the sum first and starts a new one on it.  A term
 over a source whose pattern is +0.0 is a float-zero term.  Of a source the
 sum keeps only the sign bits (4 KB at 32768 slots), and of a term only its
 values and support, so an unread sum pins no full-width vector besides its
-base: not a matmul column's block sums, nor the gradient row that a weight
-update subtracts.
+base, not a matmul column's block sums.
 
 Each lazy form has one ``_build``, which replays the dense composition into
 a fresh array and clears nothing.  Reading ``slots`` caches the read-only
@@ -426,6 +434,27 @@ def _support(v: SlotVector):
     return support
 
 
+def _run(v: SlotVector, k: int = 0):
+    """``rotate(v, k)`` as a slice run ``(lo, hi, zero, values)``, or None.
+    v is a window-1 sparse vector over a step-1 slice whose zero is a float
+    +-0.0 or a +0.0 source pattern, or an unread rotation of one."""
+    if type(v) is RotatedVector:
+        k, v = k + v.k, v.src
+    if type(v) is not SparseVector or v.window != 1 or type(v.support) is not slice:
+        return None
+    zero = v.zero if v.src is None else _pattern(v.src)
+    if type(zero) is np.ndarray or zero is None or zero != 0.0:     # sign bits; NaN or inf
+        return None
+    size = v.size
+    lo, hi, step = v.support.indices(size)
+    k %= size
+    if lo < k:
+        lo, hi = lo + size, hi + size
+    if step != 1 or hi < lo or hi - k > size:       # a wrap
+        return None
+    return lo - k, hi - k, zero, v.values
+
+
 def _owned(v: SlotVector):
     """The ``_build`` of an unread lazy v, which the caller owns: v's cache
     stays empty, so v pins no slots; None for a dense or read v."""
@@ -638,6 +667,23 @@ class SlotEngine:
             return x * y
         return _kernels.mult_rescale(x, y, self._scale)
 
+    def _merge(self, ufunc, scalar_op, ra, rb, size, level):
+        """ufunc of two runs (``_run``) as a run over their union; None at a gap."""
+        alo, ahi, az, av = ra
+        blo, bhi, bz, bv = rb
+        if alo > bhi or blo > ahi:
+            return None
+        lo, hi = min(alo, blo), max(ahi, bhi)
+        if alo == blo and ahi == bhi:
+            values = ufunc(av, bv)
+        else:
+            values, other = np.full(hi - lo, az), np.full(hi - lo, bz)
+            values[alo - lo:ahi - lo] = av
+            other[blo - lo:bhi - lo] = bv
+            ufunc(values, other, out=values)
+        return SparseVector(size, None, 0, scalar_op(az, bz), slice(lo, hi), values, 1, level,
+                            next(self._uid))
+
     # --- operations ---------------------------------------------------------
     # (order of dispatch: module docstring; a level is None on the exact backend)
 
@@ -653,6 +699,18 @@ class SlotEngine:
         tb = type(b)
         if tb is UniformVector and type(a) is UniformVector:
             sv = UniformVector(size, scalar_op(a.value, b.value), level, next(self._uid))
+        elif (tb is SparseVector and type(a) is SparseVector and a.src is None is b.src
+              and type(sa := a.support) is slice is type(b.support) and sa == b.support
+              and sa.step in (None, 1) and a.window == 1 == b.window and a.zero == 0.0 == b.zero):
+            # two runs on one slice, tested inline (the gradient sums): see _run
+            sv = SparseVector(size, None, 0, scalar_op(a.zero, b.zero), a.support,
+                              ufunc(a.values, b.values), 1, level, next(self._uid))
+        elif (type(a) is not SumVector and (tb is SparseVector or tb is RotatedVector)
+              and (ra := _run(a)) is not None and (rb := _run(b)) is not None
+              # an unread sparse b on another run joins a pending sum instead
+              and (ra[:2] == rb[:2] or tb is RotatedVector or b._cache is not None)
+              and (sv := self._merge(ufunc, scalar_op, ra, rb, size, level)) is not None):
+            pass
         elif (tb is SparseVector and b._cache is None and b.window == 1
               and (type(zero := b.zero if b.src is None else _pattern(b.src)) is np.ndarray
                    or zero == 0.0)):    # a finite zero: a float is +-0.0 or NaN
@@ -729,12 +787,10 @@ class SlotEngine:
                         values = _kernels.mult_rescale(t, values, self._scale)
                     sv = SparseVector(size, None, 0, t * 0.0, support, values, 1, level,
                                       next(self._uid))
-        elif (type(a) is SparseVector and type(b) is SparseVector and a.src is None
-              and b.src is None and a.window == 1 == b.window and type(a.support) is slice
-              and a.support == b.support and _is_plus(a.zero) and _is_plus(b.zero)):
-            # +0.0 * +0.0 off the support is +0.0, which the rescale keeps
-            sv = SparseVector(size, None, 0, 0.0, a.support, self._product(a.values, b.values),
-                              1, level, next(self._uid))
+        elif ((ra := _run(a)) is not None and (rb := _run(b)) is not None
+              and ra[:2] == rb[:2] and _is_plus(ra[2]) and _is_plus(rb[2])):
+            sv = SparseVector(size, None, 0, 0.0, slice(ra[0], ra[1]),
+                              self._product(ra[3], rb[3]), 1, level, next(self._uid))
         else:
             sv = self._new(self._product(a.slots, b.slots), level)
         if self.trace is not None:
@@ -762,7 +818,7 @@ class SlotEngine:
             mq = _kernels.quantize(m.slots, self._scale) if level is not None else m.slots
             sv = self._new(self._product(a.slots, mq), level)
         else:
-            src, k = a, 0
+            src, k, zero = a, 0, None
             if type(a) is RotatedVector and (rot_src := a.src) is not None:
                 src, k = rot_src, a.k
             if type(index) is int:
@@ -771,7 +827,10 @@ class SlotEngine:
                          else _kernels.cmult_rescale_float(picked, m.value, self._scale))
             else:
                 start, stop, step = index.indices(size)
-                if step > 0 and stop + k <= size:      # no wrap: a view, read once below
+                if (step == 1 and src is a    # no run test for a rotation (the row cuts)
+                        and (run := _run(a)) is not None and run[:2] == (start, stop)):
+                    src, zero, picked = None, run[2] * 0.0, run[3]
+                elif step > 0 and stop + k <= size:      # no wrap: a view, read once below
                     picked = src.slots[start + k:stop + k:step]
                 else:
                     picked = src.slots[(np.arange(start, stop, step) + k) % size]
@@ -779,9 +838,9 @@ class SlotEngine:
                 value = (picked * m.value if level is None else _kernels.mult_rescale(
                     picked, _kernels.quantize_float(m.value, self._scale), self._scale))
             if size == 1:
-                sv = self._sparse_vector(src, k, None, index, value, 1, size, level)
+                sv = self._sparse_vector(src, k, zero, index, value, 1, size, level)
             else:
-                sv = SparseVector(size, src, k, None, index, value, 1, level, next(self._uid))
+                sv = SparseVector(size, src, k, zero, index, value, 1, level, next(self._uid))
         if self.trace is not None:
             self.trace.record("cmult", (a.uid,), sv.uid, 1, level)
         return sv
@@ -820,7 +879,8 @@ class SlotEngine:
                 sv.level = a.level
                 sv.uid = next(self._uid)
                 sv._cache = None
-        else:
+        elif ((ra := _run(a)) is None or (rb := _run(a, k)) is None
+              or (sv := self._merge(np.add, operator.add, ra, rb, size, a.level)) is None):
             sv = self._new(_kernels.rotate_add(a.slots, k), a.level)
         if self.trace is not None:
             rot_uid = next(self._uid)

@@ -124,8 +124,10 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
     Weights start from normal(0, 0.05) under the given seed, identically on
     every backend.  On the leveled backend a depth-exhausted run halts with a
     structured report instead of raising; on every backend so does the first
-    iteration with a non-finite metric or weight (reason ``non_finite``).
-    Either halt keeps the rows and weights of the last complete iteration.  An
+    iteration with a non-finite metric or weight (reason ``non_finite``),
+    the ``sle`` log-likelihood at its singularity included; at the initial
+    weights that halt names iteration 0 and no step runs.  Either halt
+    keeps the rows and weights of the last complete iteration.  An
     encrypted backend refuses an ``engine_config`` made for another backend;
     the plain backend ignores it.
     """
@@ -138,11 +140,16 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
     params = init_params(batch.d, m, c, seed, eta=eta, lam=lam)
 
     report = TrainingReport(
-        backend=backend, loss_kind=loss, seed=seed, eta=eta, lam=lam, hidden=m,
-        initial=_metrics(params, batch, spec),
+        backend=backend, loss_kind=loss, seed=seed, eta=eta, lam=lam, hidden=m, initial={},
         sigmoid_poly=poly.to_dict() if poly is not None else None,
     )
-    _attach_test(report.initial, params, test_batch, spec)
+    try:
+        report.initial = _metrics(params, batch, spec)
+        _attach_test(report.initial, params, test_batch, spec)
+    except NonFinite as e:
+        report.initial = {}
+        _halt(report, 0, str(e))
+        iterations = 0          # no finite start to step from
 
     t_start = time.perf_counter()
     per_iter_ms = []
@@ -200,19 +207,28 @@ def train(batch, *, loss: str = "sle2", hidden: int | None = None, eta: float = 
 
 
 def _record(report, it, params: ModelParams, batch, test_batch, spec, min_level) -> bool:
-    """Append iteration ``it``'s metrics row.  If a metric or a weight is not
-    finite, set a ``non_finite`` halt instead and return False."""
-    row = {"iter": it, **_metrics(params, batch, spec), "min_level": min_level}
-    _attach_test(row, params, test_batch, spec)
+    """Append iteration ``it``'s metrics row.  If a metric raises NonFinite
+    (the ``sle`` log-likelihood at its singularity) or a metric or a weight
+    is not finite, set a ``non_finite`` halt instead and return False."""
+    try:
+        row = {"iter": it, **_metrics(params, batch, spec), "min_level": min_level}
+        _attach_test(row, params, test_batch, spec)
+    except NonFinite as e:
+        return _halt(report, it, str(e))
     for name, val in [*row.items(), ("W", params.W), ("V", params.V)]:
         if val is not None and not np.all(np.isfinite(val)):
-            what = (f"{name} = {val}" if np.ndim(val) == 0
-                    else f"{name} has {np.count_nonzero(~np.isfinite(val))} non-finite entries")
-            report.halted = {"reason": "non_finite", "iterations_completed": it - 1,
-                             "detail": f"{what} at iteration {it}"}
-            return False
+            return _halt(report, it, f"{name} = {val}" if np.ndim(val) == 0 else
+                         f"{name} has {np.count_nonzero(~np.isfinite(val))} non-finite entries")
     report.iterations.append(row)
     return True
+
+
+def _halt(report, it, what: str) -> bool:
+    """Set the ``non_finite`` halt of iteration ``it`` (0: the initial
+    metrics), which keeps the iterations before it; False."""
+    report.halted = {"reason": "non_finite", "iterations_completed": max(it - 1, 0),
+                     "detail": f"{what} at iteration {it}"}
+    return False
 
 
 def _attach_test(row, params, test_batch, spec):

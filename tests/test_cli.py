@@ -215,6 +215,22 @@ def test_diverging_run_exits_non_finite_with_strict_json(tmp_path):
         assert "NaN" not in text and "Infinity" not in text, path.name
 
 
+def test_sle_singularity_exits_non_finite_and_writes_the_finite_iterations(tmp_path):
+    """The sle log-likelihood diverges at iteration 5 of this run; the
+    report, checkpoint and series still hold the four finite iterations."""
+    out = tmp_path / "run"
+    code = run(["train", "--dataset", "iris", "--loss", "sle", "--hidden", "8", "--lr", "5",
+                "--iters", "20", "--backend", "plain", "--out", str(out)])
+    assert code == cli.EXIT_NON_FINITE
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    halted = report["payload"]["halted"]
+    assert halted["reason"] == "non_finite" and halted["iterations_completed"] == 4
+    assert halted["detail"].endswith("at iteration 5")
+    json.loads((out / "checkpoint.json").read_text(), parse_constant=_refuse_constant)
+    with open(out / "series.csv", newline="") as f:
+        assert [row[0] for row in csv.reader(f)] == ["iter", "0", "1", "2", "3", "4"]
+
+
 def test_unknown_config_key_fails_before_any_work(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"hiden": 3, "iters": 1}))

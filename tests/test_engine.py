@@ -953,9 +953,11 @@ def ref_cmult(eng, x, index, value):
 def test_structured_cmult_of_dense_source_matches_dense(data):
     """cmult of an unrotated source by a one-hot or slice mask is sparse
     over the source's own zero pattern, whose -0.0, NaN and infinities come
-    from the source; add and sub consume it unread, it is read before the
-    op, after it or never, and its rotate_add doublings (roll_fill) match
-    the dense composition too."""
+    from the source; a step-1 slice mask over every slot, which is the
+    source's own run (``_run``: encrypt fills every slot here), multiplies
+    the run's values only, with a float zero.  add and sub consume it
+    unread, it is read before the op, after it or never, and its rotate_add
+    doublings (roll_fill) match the dense composition too."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     eng = lazy_engine(backend, size)
@@ -972,7 +974,8 @@ def test_structured_cmult_of_dense_source_matches_dense(data):
     read = data.draw(st.sampled_from(["before", "after", "never"]))
     for op, ref in ((eng.add, d.slots + want), (eng.sub, d.slots - want)):
         p = eng.cmult(a, mask)
-        assert type(p) is SparseVector and p.src is a and p.k == 0
+        own_run = type(index) is slice and index.indices(size) == (0, size, 1)
+        assert type(p) is SparseVector and p.src is (None if own_run else a) and p.k == 0
         if read == "before":
             assert bits(p.slots) == bits(want)
         assert bits(op(d, p).slots) == bits(ref)
@@ -1164,6 +1167,184 @@ def test_sum_chains_match_dense_composition_and_eager_trace(plan):
         assert bits(got) == bits(want), name
 
 
+# --- slice runs against the dense composition ---------------------------------
+
+RUN_FORMS = ["+0.0 zero", "-0.0 zero", "+0.0 pattern", "NaN zero", "sign-bit pattern"]
+IS_RUN = {"+0.0 zero", "-0.0 zero", "+0.0 pattern"}
+
+
+@st.composite
+def slice_run(draw, eng, lo, hi):
+    """(a window-1 sparse vector over slice(lo, hi), its form).  Values hold
+    -0.0, NaN and infinities; the zeros are a float +0.0, -0.0 or NaN, or the
+    pattern of a source whose slots are finite and non-negative (+0.0) or
+    include a negative one (sign bits), small so that the leveled encrypt
+    keeps them finite.  A mask over a whole source is that source's own run,
+    so a pattern form covers fewer slots."""
+    size = eng.config.slots
+    level = None if eng.config.backend == "exact" else eng.config.level_budget - draw(
+        st.integers(0, 2))
+    forms = RUN_FORMS if (lo, hi) != (0, size) else [f for f in RUN_FORMS if "zero" in f]
+    form = draw(st.sampled_from(forms))
+    if "zero" in form:
+        zero = {"+0.0 zero": 0.0, "-0.0 zero": -0.0, "NaN zero": float("nan")}[form]
+        values = draw(arrays(np.float64, hi - lo, elements=ELEMENTS["any"]))
+        return SparseVector(size, None, 0, zero, slice(lo, hi), values, 1, level,
+                            next(eng._uid)), form
+    src = draw(arrays(np.float64, size, elements=st.floats(0.0, 4.0)))
+    if form == "sign-bit pattern":
+        src[draw(st.sampled_from([i for i in range(size) if not lo <= i < hi]))] = -1.0
+    mask = segment_mask(eng, lo, hi - lo, draw(st.sampled_from([1.0, -0.0, 2.5, -3.0])))
+    return eng.cmult(eng.encrypt(src), mask), form
+
+
+def rotated_range(lo, hi, k, size):
+    """The slots of rotate(v, k) that read v's slots [lo, hi), or None when
+    they wrap."""
+    start = lo - k if lo >= k else lo - k + size
+    return (start, start + hi - lo) if start + hi - lo <= size else None
+
+
+@st.composite
+def two_ranges(draw, size):
+    """Two slot ranges that are equal, overlap, touch or leave a gap."""
+    lo = draw(st.integers(0, size - 2))
+    hi = draw(st.integers(lo, size - 1))
+    relation = draw(st.sampled_from(["equal", "overlapping", "touching", "gapped", "any"]))
+    if relation == "equal":
+        return (lo, hi), (lo, hi)
+    if relation == "overlapping":
+        blo = draw(st.integers(lo, hi))
+        return (lo, hi), (blo, draw(st.integers(max(blo, hi), size)))
+    if relation == "touching":
+        return (lo, hi), (hi, draw(st.integers(hi, size)))
+    if relation == "gapped":
+        blo = draw(st.integers(hi + 1, size))
+        return (lo, hi), (blo, draw(st.integers(blo, size)))
+    blo = draw(st.integers(0, size))
+    return (lo, hi), (blo, draw(st.integers(blo, size)))
+
+
+@fp_warnings_ignored
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_slice_run_rules_match_dense_composition(data):
+    """add and sub of two slice runs (``_run``) whose union is one run give a
+    run over the union, as does rotate_add of a run and its rotated copy;
+    a structured cmult by a mask on a run's own slice multiplies its values
+    only, unless the run is a rotation, whose picks come from its source.
+    Equal, overlapping, touching and gapped runs, an unread rotation as the
+    right operand (rotate, then add), shifts that wrap, right operands read
+    first.  An unread sparse right operand on another run, a NaN zero, a
+    sign-bit pattern, a gap or a wrap take the path they take without the
+    rule.  Either way type, bits and level are checked against the dense
+    composition."""
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([2, 8, 16, 32]))
+    eng = lazy_engine(backend, size)
+    (alo, ahi), (blo, bhi) = data.draw(two_ranges(size))
+    a, a_form = data.draw(slice_run(eng, alo, ahi))
+    op = data.draw(st.sampled_from(["add", "sub", "rotate-then-add", "rotate_add", "cmult"]))
+
+    if op == "rotate_add":
+        k = data.draw(st.integers(0, size - 1))
+        out = eng.rotate_add(a, k)
+        shifted = rotated_range(alo, ahi, k, size)
+        merged = (a_form in IS_RUN and shifted is not None
+                  and not (alo > shifted[1] or shifted[0] > ahi))
+        if k == 1:      # the window doubling stays first
+            assert type(out) is SparseVector and out.window == 2
+        else:
+            assert type(out) is (SparseVector if merged else SlotVector)
+        assert out.level == a.level
+        assert bits(out.slots) == bits(ref_rotate_add(a.slots, k))
+        return
+
+    if op == "cmult":
+        k = data.draw(st.integers(0, size - 1))
+        shifted = rotated_range(alo, ahi, k, size) if data.draw(st.booleans()) else None
+        operand = eng.rotate(a, k) if shifted is not None else a
+        lo, hi = shifted if shifted is not None else (alo, ahi)
+        value = data.draw(st.sampled_from([1.0, -0.0, 2.5, -3.0, 2.0**-31]))
+        mask = PlainMask.structured(size, data.draw(st.sampled_from(
+            [slice(lo, hi), slice(lo, hi, 1)] + ([slice(None, hi)] if lo == 0 else []))), value)
+        out = eng.cmult(operand, mask)
+        own_run = a_form in IS_RUN and operand is a       # a rotation reads its source
+        assert type(out) is SparseVector and (out.src is None) == own_run
+        assert out.level == (None if a.level is None else a.level - 1)
+        assert bits(out.slots) == bits(ref_cmult(eng, operand.slots, mask.index, value))
+        return
+
+    b, b_form = data.draw(slice_run(eng, blo, bhi))
+    rotated = op == "rotate-then-add"
+    if rotated:
+        k = data.draw(st.integers(0, size - 1))
+        b = eng.rotate(b, k)
+        rb = rotated_range(blo, bhi, k, size)
+    else:
+        rb = (blo, bhi)
+    read = data.draw(st.booleans())
+    if read:
+        b.slots
+    run_b = b_form in IS_RUN and rb is not None and not (rotated and read)
+    gap = rb is None or alo > rb[1] or rb[0] > ahi
+    merged = (a_form in IS_RUN and run_b and not gap
+              and ((alo, ahi) == rb or rotated or read))
+    pending = not rotated and not read and b_form != "NaN zero"
+    ufunc = np.add if op != "sub" else np.subtract
+    out = (eng.sub if op == "sub" else eng.add)(a, b)
+    assert type(out) is (SparseVector if merged else SumVector if pending else SlotVector)
+    if merged:
+        assert out.src is None and out.window == 1
+        assert out.support.indices(size)[:2] == (min(alo, rb[0]), max(ahi, rb[1]))
+    want_level = None if a.level is None else min(a.level, b.level)
+    assert out.level == want_level
+    assert bits(out.slots) == bits(ufunc(a.slots, b.slots))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_weight_update_runs_no_full_width_kernel(lam, monkeypatch):
+    """Traffic guard: the weight update of a leveled step (desk scale:
+    iris, hidden 16, 4096 slots) keeps every gradient row, its replication
+    over the n row blocks, the L2 and learning-rate masks and the
+    subtraction on the rows' slice runs: no rotation kernel and no pending
+    sum build runs inside ``_updated_row``.  The one-step benchmark reads
+    the same bits whether or not these stay sparse."""
+    from henn import data
+    from henn.enc_train import EncryptedTrainer
+    from henn.losses import LossSpec
+    from henn.nn import init_params
+
+    batch = data.preprocess(data.load_iris())
+    trainer = EncryptedTrainer(lazy_engine("leveled", 4096), batch,
+                               init_params(batch.d, 16, batch.Y.shape[1], 0, eta=0.01, lam=lam),
+                               LossSpec("sle2"))
+    inside, calls = [False], Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return fn(*args)
+        return wrapper
+
+    for name in ("rotate_add", "rotate"):
+        monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
+    monkeypatch.setattr(SumVector, "_build", counted("sum", SumVector._build))
+    update = type(trainer)._updated_row
+
+    def guarded(self, *args):
+        inside[0] = True
+        try:
+            return update(self, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(type(trainer), "_updated_row", guarded)
+    trainer.iterate()
+    assert sum(calls.values()) == 0, dict(calls)
+    assert all(type(em.parts[0]) is SparseVector for em in trainer.W_enc + trainer.V_enc)
+
+
 def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     """Traffic guard: one leveled training step builds exactly these lazy
     vectors, so a fast path that silently falls back to a build shows here
@@ -1171,15 +1352,17 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     and c = 3 classes: the block-start sums of the m + c result columns,
     the activation-derivative grid and the error signal are slice cmults
     whose slots one-hot cmults read (9); the first placement of each of the
-    two matmuls starts its accumulator (2), and so does the first product
-    of each of the m + c gradient rows (7); the m + c weight rows, encrypted
-    at set-up, and the bias ones of the hidden re-layout are first read in
-    the step (8); the rotations read are the shifted partial sums of the
-    output matmul's windowed sums over 1 + m = 5 slots, one per column
-    (3).  The pending sums built (16) are one per result column of the two
-    matmuls (7), one per gradient row (7), the hidden re-layout and the
-    error signal; the m + c updated weight rows are pending sums that the
-    step leaves unread."""
+    two matmuls starts its accumulator (2); the m hidden columns' products
+    of the input block and a weight row, doubled to the row-sum window of
+    1 + d = 4 slots, are read by the block-start cmult (4), the c output
+    weight rows by the dense product with the hidden re-layout (3), and the
+    bias ones of that re-layout are its pending sum's base (1); the
+    rotations read are the shifted partial sums of the output matmul's
+    windowed sums over 1 + m = 5 slots, one per column (3).  The pending
+    sums built (9) are one per result column of the two matmuls (7), the
+    hidden re-layout and the error signal.  The m + c gradient rows, their
+    replications and the updated weight rows are slice runs (``_run``),
+    which the step builds nowhere."""
     from henn.enc_train import EncryptedTrainer
     from henn.losses import LossSpec
     from henn.nn import init_params
@@ -1211,7 +1394,7 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     monkeypatch.setattr(SumVector, "_build", counted_sum)
     trainer.iterate()
     assert dict(built) == {"sparse pattern slice": 9, "sparse pattern one-hot": 2,
-                           "sparse float slice": 15, "rotation": 3, "sum": 16}
+                           "sparse float slice": 8, "rotation": 3, "sum": 9}
 
 
 def test_zscore_step_scans_each_input_row_once_and_keeps_its_products_sparse(monkeypatch):

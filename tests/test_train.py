@@ -130,6 +130,35 @@ def test_diverging_run_halts_at_the_first_non_finite_iteration(backend):
     assert np.array_equal(rep.W, finite.W) and np.array_equal(rep.V, finite.V)
 
 
+def test_sle_singularity_halts_non_finite_at_its_iteration():
+    """The sle log-likelihood raises NonFinite where sigma(ybar) == y; train()
+    turns that into a non_finite halt naming the iteration.  On iris at lr 5
+    the fifth iteration hits it, and the report keeps the four finite ones
+    and their weights, bit for bit.  Inputs of about 1e3 hit it at the
+    initial metrics: the halt names iteration 0 and no step is taken."""
+    from henn.data import load_iris, preprocess
+
+    kw = dict(loss="sle", hidden=8, eta=5.0, backend="plain")
+    batch = preprocess(load_iris())
+    rep = train(batch, iterations=20, **kw)
+    assert rep.halted == {"reason": "non_finite", "iterations_completed": 4,
+                          "detail": "sigma(ybar) == y somewhere; log-likelihood diverges "
+                                    "at iteration 5"}
+    finite = train(batch, iterations=4, **kw)
+    assert finite.halted is None and rep.iterations == finite.iterations
+    assert np.array_equal(rep.W, finite.W) and np.array_equal(rep.V, finite.V)
+
+    rng = np.random.default_rng(0)
+    labels = np.arange(6) % 2
+    huge = Batch(np.hstack([np.ones((6, 1)), rng.uniform(1e3, 2e3, (6, 3))]),
+                 one_hot(labels, 2), "classification", class_count=2, labels=labels)
+    rep = train(huge, loss="sle", hidden=4, iterations=3, backend="plain", seed=0)
+    assert rep.halted["iterations_completed"] == 0
+    assert rep.halted["detail"].endswith("at iteration 0")
+    assert rep.initial == {} and rep.iterations == []
+    assert np.array_equal(rep.W, init_params(3, 4, 2, 0).W)
+
+
 def test_iris_loss_decreases_for_nearly_all_seeds():
     """Full-batch descent at the small fixed rate improves the raw-logit loss
     on both of the first two iterations for >= 95% of seeds."""
@@ -263,6 +292,16 @@ def test_sle_experiment_raises_on_a_diverging_repeat():
                            hidden=8, seed=3)
 
 
+def test_sle_experiment_names_the_repeat_that_hits_the_sle_singularity():
+    """The sle log-likelihood's NonFinite at its singularity reaches the
+    caller as the repeat's halt: loss@rate, seed and iteration."""
+    rng = np.random.default_rng(11)
+    tr, te = make_blobs_784(rng, 60, 30)
+    with pytest.raises(NonFinite, match=r"^sle@0.12 seed 3: sigma\(ybar\) == y .* at iteration 4$"):
+        run_sle_experiment(tr, te, losses=("sle",), lrs=(0.12,), repeats=1, epochs=8,
+                           hidden=8, seed=3)
+
+
 def test_sle_experiment_reports_rmse_for_a_regression_batch():
     """A regression batch has no labels, so its curves hold the train and
     test rmse, as train() reports them, and no accuracy."""
@@ -296,25 +335,29 @@ def test_weight_decode_holds_one_full_width_row_at_a_time():
 
 @pytest.mark.parametrize("backend", ["exact", "leveled"])
 def test_step_and_decode_pin_no_full_width_weight_row(backend):
-    """After one step and a decode, training holds less than half a
+    """After two steps and a decode, training holds less than half a
     full-width vector per weight row (desk scale: iris, hidden 16, 4096
-    slots).  The hidden-layer products take the encrypted weight rows'
-    values without building their slots, and decode builds each updated row
-    into an array of its own, so no hidden-weight row keeps its 32 KB."""
+    slots), with and without the L2 term.  The hidden-layer products take
+    the encrypted weight rows' values without building their slots, the
+    update keeps each row a slice run (``henn.engine``), so the next step's
+    products take it unbuilt again, and decode builds each updated row into
+    an array of its own, so no weight row keeps its 32 KB."""
     batch = preprocess(load_iris())
     m, c, slots = 16, batch.Y.shape[1], 4096
-    params = init_params(batch.d, m, c, 0, eta=0.01)
-    trainer = EncryptedTrainer(SlotEngine(EngineConfig(slots=slots, backend=backend)), batch,
-                               params, LossSpec("sle2"))
-    gc.collect()            # a full collection also empties the free lists tracemalloc counts
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        trainer.iterate()
-        weights = trainer.current_weights()
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert weights[0].shape == (m, batch.d + 1)
-    assert held < (m + c) * slots * 8 / 2
+    for lam in (0.0, 0.01):
+        params = init_params(batch.d, m, c, 0, eta=0.01, lam=lam)
+        trainer = EncryptedTrainer(SlotEngine(EngineConfig(slots=slots, backend=backend)),
+                                   batch, params, LossSpec("sle2"))
+        gc.collect()        # a full collection also empties the free lists tracemalloc counts
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer.iterate()
+            trainer.iterate()
+            weights = trainer.current_weights()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert weights[0].shape == (m, batch.d + 1)
+        assert held < (m + c) * slots * 8 / 2, lam

@@ -58,6 +58,17 @@ def rotate_add(a, k):
     return out
 
 
+def shift_add(a, k, fill):
+    """a[i] + a[i + k], where the k partners past the end read the float
+    fill: ``rotate_add`` on a window of a longer vector whose slots after it
+    all hold fill."""
+    n = a.shape[0] - k
+    out = np.empty_like(a)
+    np.add(a[:n], a[k:], out=out[:n])
+    np.add(a[n:], fill, out=out[n:])
+    return out
+
+
 def quantize(a, scale):
     """rint(a * scale) / scale."""
     out = np.multiply(a, scale, out=np.empty_like(a, dtype=np.float64))

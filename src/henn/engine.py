@@ -26,15 +26,18 @@ hold what defines their slots instead of the slots themselves:
   an index array) and signed zeros elsewhere, then the ``rotate_add``
   doublings up to a ``window``.  The zeros are one float ``zero``, or the
   zero pattern ``src.slots * 0.0`` rotated by ``k``, which is bit for bit
-  ``rotate(src, k) * 0.0`` since the product is slotwise.  ``_pattern``
-  caches the pattern of a finite source on it in its smallest exact form,
-  so the n placements of one source that a pending sum adds share it: the
-  float +0.0 when no slot has its sign bit set, else the sign bits, eight
-  to a byte.  ``encrypt`` gives one of its values on the first slots and
-  +0.0 elsewhere, so encrypting a short vector allocates no slots.  A slice
-  run (``_run``: window 1, a step-1 slice, a float +-0.0 zero or a +0.0
-  pattern, or an unread rotation of such) has its values on slots [lo, hi),
-  which do not wrap, and a float +-0.0 on every other slot.
+  ``rotate(src, k) * 0.0`` since the product is slotwise, or, with no
+  ``src``, sign bits held as ``zero`` and rotated by ``k`` (what a merge of
+  runs leaves, below).  ``_pattern`` caches the pattern of a finite source
+  on it in its smallest exact form, so the n placements of one source that
+  a pending sum adds share it: the float +0.0 when no slot has its sign bit
+  set, else the sign bits, eight to a byte.  ``encrypt`` gives one of its
+  values on the first slots and +0.0 elsewhere, so encrypting a short
+  vector allocates no slots.  A slice run (``_run``: window 1, a step-1
+  slice, a finite zero, that is a float +-0.0 or sign bits, or an unread
+  rotation of such) has its values on slots [lo, hi), which do not wrap,
+  and a signed zero on every other slot.  A row cut from a matrix with
+  negative entries is a run over the sign bits of that matrix.
 * pending sum (``SumVector``): a base vector and the window-1 sparse terms
   added to it or subtracted from it, in order.
 
@@ -45,11 +48,19 @@ the dense kernel.
 
 * ``add``/``sub`` (``_sum``): two uniform operands give one float through
   ``operator.add``/``sub``, the IEEE operation the dense form applies to
-  each slot; then two runs whose union is one run give a run over it (each
-  zero filled in off its own run, ``scalar_op`` of the zeros off the union),
-  unless the right operand is unread sparse on another run: that and any
-  other unread window-1 sparse right operand with a finite zero becomes a
-  term of a pending sum (below), one pass over its own support.
+  each slot; then two runs whose union is one run give a run over it
+  (``_merge``: each operand's zeros filled in off its own run, from its
+  bits if it has them), unless the right operand is unread sparse on
+  another run: that and any other unread window-1 sparse right operand
+  with a finite zero becomes a term of a pending sum (below), one pass over
+  its own support.  Off the union the merge adds or subtracts two signed
+  zeros per slot.  Float zeros give ``scalar_op`` of the two; with sign
+  bits (a float -0.0 is every bit set, +0.0 none), -0.0 + -0.0 is the only
+  sum that is -0.0, and -0.0 - (+0.0) the only difference, so the result's
+  bits are ``a & b`` for add and ``a & ~b`` for sub, with b's bits read at
+  their shift relative to a's (whole bytes of the 4 KB of packed bits when
+  that shift is a multiple of 8).  The merged run holds the bits left off
+  the union itself, and the float +0.0 once none is left.
 * ``mult``: a uniform left operand t enters as a scalar.  With a uniform
   right operand the product is one float through the scalar kernel; with a
   window-1 sparse x whose zeros are +0.0, only x's own support is
@@ -69,8 +80,9 @@ the dense kernel.
   kernel copies the picks, so no view pins the source), and gives a
   window-1 sparse vector over that vector's pattern: the dense product's
   slots at the mask's +0.0 slots, NaN included; a run that is no rotation,
-  by a mask on its own slice, gives a run of its values times the mask, its
-  zero times +0.0.  A one-hot product is one call of a scalar kernel.
+  by a mask on its own slice, gives a run of its values times the mask and
+  its own zero, as a signed zero times +0.0 keeps its sign.  A one-hot
+  product is one call of a scalar kernel.
 * ``rotate`` gives a rotation.
 * ``rotate_add(v, k)`` of a sparse v whose window is k doubles the window,
   as ``roll_fill`` does after ``keep_only``.  When the window covers every
@@ -80,7 +92,10 @@ the dense kernel.
   == v.  Else a run and its rotated copy merge as in ``add``.  So the grad
   rows of ``enc_train`` are runs, not pending sums; their replication, masks
   and subtraction stay on n * width values, and an updated weight row is a
-  +0.0 run, which the next step's products take unbuilt.
+  +0.0 run, which the next step's products take unbuilt.  Likewise a row
+  that ``linalg.vr_matmul`` cuts from a transposed tile stays a run through
+  its replication over the row blocks, whose doublings clear its bits, so
+  its product with the tile is the run product above.
 
 ``add``/``sub`` with an unread window-1 sparse right operand give a pending
 sum: the placements of the forward matmuls (``linalg``) and of the hidden
@@ -105,10 +120,14 @@ the chain once and builds the sum in one pass:
    term has -0.0 there.  A term's support slots count as -0.0 here, since
    they take a value, not a zero; a zero slot j of a pattern term has the
    sign bit of ``src`` at ``(j + k) % size``.  The candidates, the -0.0
-   slots of the base, are usually gone after a few terms;
+   slots of the base, are resolved against all terms at once, in blocks
+   of terms that keep the candidates x terms arrays near ``_BLOCK``
+   entries, and a block drops the candidates it clears;
 3. apply the values on each term's support, in term order, with the
    operation of its add or sub: numpy's scalar or array arithmetic, as a
-   one-term sum would.
+   one-term sum would.  When every term is one slot, the slots are
+   distinct and the operation is one, that is one indexed array operation,
+   which applies the same IEEE operation to each slot.
 
 A pending sum holds terms over one source, or float zeros only: a term over
 another source builds the sum first and starts a new one on it.  A term
@@ -118,8 +137,15 @@ values and support, so an unread sum pins no full-width vector besides its
 base, not a matmul column's block sums.
 
 Each lazy form has one ``_build``, which replays the dense composition into
-a fresh array and clears nothing.  Reading ``slots`` caches the read-only
-build on the vector and returns it, so both paths give the same bits;
+a fresh array and clears nothing.  A sparse vector of window w over a
+step-1 slice [lo, hi) with a float +-0.0 zero builds its reach [lo - w + 1,
+hi) alone (it may wrap at slot 0): the same doublings on that short array,
+where the partners past hi read the zero, which is what they hold there,
+and every other slot holds the sum of w zeros, the zero.  That needs the
+partners past hi to miss [lo, hi), so a reach that w more slots would take
+past the slot count runs the full-width doublings instead.  Reading
+``slots`` caches the read-only build on the vector and returns it, so both
+paths give the same bits;
 ``_drop`` then releases the build's inputs: a rotation's source, a pending
 sum's base and terms.  ``decrypt`` and a pending sum's base are owner builds
 (``_owned``): an unread lazy vector's ``_build``, which the caller owns, with
@@ -278,9 +304,10 @@ class RotatedVector(_LazyVector):
 class SparseVector(_LazyVector):
     """``values`` on the slots ``support`` (an int, a slice or an index
     array) and, on every other slot, the zero pattern ``src.slots * 0.0``
-    rotated by ``k``, or the float ``zero`` when ``src`` is None; then the
-    ``rotate_add`` doublings by 1, 2, ... up to ``window``/2 (window 1:
-    none)."""
+    rotated by ``k``, or when ``src`` is None the float ``zero`` or, for
+    packed sign bits ``zero``, -0.0 where bit (j + k) % size is set and +0.0
+    elsewhere; then the ``rotate_add`` doublings by 1, 2, ... up to
+    ``window``/2 (window 1: none)."""
 
     __slots__ = ("src", "k", "zero", "support", "values", "window")
 
@@ -297,9 +324,32 @@ class SparseVector(_LazyVector):
         self._cache = None
 
     def _build(self):
-        if self.src is None:
+        size, zero, window = self.size, self.zero, self.window
+        if self.src is None and type(zero) is np.ndarray:
+            signs = np.unpackbits(zero, count=size, bitorder="little")
+            out = np.where(np.concatenate((signs[self.k:], signs[:self.k])), -0.0, 0.0)
+        elif self.src is None:
             # np.zeros leaves the pages that no value reaches unmapped
-            out = np.zeros(self.size) if _is_plus(self.zero) else np.full(self.size, self.zero)
+            out = np.zeros(size) if _is_plus(zero) else np.full(size, zero)
+            if window > 1 and zero == 0.0 and type(self.support) is slice:
+                lo, hi, stride = self.support.indices(size)
+                lo -= window - 1
+                if stride == 1 and lo + window - 1 < hi and hi - lo + window <= size:
+                    # the reach [lo, hi), which may wrap at slot 0; every
+                    # other slot sums window zeros, which is the zero
+                    reach = np.empty(hi - lo)
+                    reach[:window - 1] = zero
+                    reach[window - 1:] = self.values
+                    step = 1
+                    while step < window:
+                        reach = _kernels.shift_add(reach, step, zero)
+                        step *= 2
+                    if lo < 0:
+                        out[lo:] = reach[:-lo]
+                        out[:hi] = reach[-lo:]
+                    else:
+                        out[lo:hi] = reach
+                    return out
         elif self.k:
             out = _kernels.rotate(self.src.slots, self.k)
             out *= 0.0
@@ -350,22 +400,22 @@ class SumVector(_LazyVector):
             out = base.slots + -0.0      # x + -0.0 is x, with any NaN quieted
         else:
             out += -0.0                  # in place: the array is this sum's own
+        size = self.size
         minus = np.flatnonzero(out.view(np.uint64) == _MINUS_ZERO)
-        for ufunc, _, k, zero, support, _ in terms:
-            if not minus.size:
-                break
-            # the candidates where the term adds +0.0: a zero, not a value
-            if source is None:
-                if _is_plus(zero) == (ufunc is np.subtract):
-                    continue
-                cleared = ~_in_support(minus, support, self.size)
-            else:
-                at = (minus + k) % self.size
-                minus_zero = (source[at >> 3] >> (at & 7)) & 1
-                cleared = minus_zero == (ufunc is np.subtract)
-                cleared[cleared] = ~_in_support(minus[cleared], support, self.size)
+        done = 0
+        while minus.size and done < len(terms):
+            block = terms[done:done + max(1, _BLOCK // minus.size)]
+            done += len(block)
+            cleared = _adds_plus(block, minus, source, size).any(axis=0)
             out[minus[cleared]] = 0.0
             minus = minus[~cleared]
+        ufunc = terms[0][0]
+        if all(type(t[4]) is int and t[0] is ufunc for t in terms):
+            at = np.array([t[4] for t in terms]) % size
+            order = np.sort(at)
+            if not (order[1:] == order[:-1]).any():      # distinct slots: one op
+                out[at] = ufunc(out[at], [t[5] for t in terms])
+                return out
         for _, scalar_op, _, _, support, values in terms:
             out[support] = scalar_op(out[support], values)
         return out
@@ -375,6 +425,7 @@ class SumVector(_LazyVector):
 
 
 _MINUS_ZERO = 0x8000000000000000      # the bits of -0.0
+_BLOCK = 4096      # candidate x term entries that a sum build resolves at once
 _new_instance = object.__new__
 
 
@@ -396,6 +447,97 @@ def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
         pos[pos == slots.shape[0]] = 0
         inside[pos[slots[pos] == support]] = True
     return inside
+
+
+def _adds_plus(terms, minus, source, size: int) -> np.ndarray:
+    """Whether each of the terms of a sum adds a +0.0 (a zero, not a value)
+    at each of the sorted candidate slots minus: a bool array, one row per
+    term (see ``SumVector``)."""
+    sub = np.array([t[0] is np.subtract for t in terms])
+    if source is None:
+        plus = np.zeros((len(terms), minus.size), dtype=bool)
+        plus[np.array([_is_plus(t[3]) for t in terms]) != sub] = True
+    else:
+        plus = _bit(source, (minus + np.array([t[2] for t in terms])[:, None]) % size)
+        plus = plus == sub[:, None]
+    supports = [t[4] for t in terms]
+    if all(type(s) is int for s in supports):
+        plus &= minus != (np.array(supports) % size)[:, None]
+    else:
+        for row, support in zip(plus, supports):
+            if row.any():
+                row &= ~_in_support(minus, support, size)
+    return plus
+
+
+def _bit(bits: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The packed bits at the indices at: slot j is bit j % 8 of byte j // 8."""
+    return (bits[at >> 3] >> (at & 7)) & 1
+
+
+def _rotated_bits(bits: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Packed bits rotated left by k, as a fresh array: bit j of the result
+    is bit (j + k) % size.  A multiple of 8 moves whole bytes."""
+    if not (k | size) & 7:
+        k >>= 3
+        return np.concatenate((bits[k:], bits[:k]))
+    signs = np.unpackbits(bits, count=size, bitorder="little")
+    return np.packbits(np.concatenate((signs[k:], signs[:k])), bitorder="little")
+
+
+def _clear_bits(bits: np.ndarray, start: int, stop: int):
+    """Clear the packed bits [start, stop) in place."""
+    if start >= stop:
+        return
+    first, last = start >> 3, (stop + 7) >> 3
+    span = np.unpackbits(bits[first:last], bitorder="little")
+    span[start - 8 * first:stop - 8 * first] = 0
+    bits[first:last] = np.packbits(span, bitorder="little")
+
+
+def _spread(run, lo: int, hi: int, size: int) -> np.ndarray:
+    """A run's slots [lo, hi), a range that holds the run: its values on the
+    run, its zeros elsewhere."""
+    rlo, rhi, zero, k, values = run
+    out = np.empty(hi - lo)
+    out[rlo - lo:rhi - lo] = values
+    for start, stop in ((lo, rlo), (rhi, hi)):
+        if type(zero) is not np.ndarray:
+            out[start - lo:stop - lo] = zero
+        elif start < stop:
+            signs = _bit(zero, np.arange(start + k, stop + k) % size)
+            out[start - lo:stop - lo] = np.where(signs, -0.0, 0.0)
+    return out
+
+
+def _union_zero(sub: bool, ra, rb, lo: int, hi: int, size: int):
+    """The zero and shift of a + b (sub: a - b) off the union [lo, hi) of the
+    runs ra and rb, of which one or both have sign bits: two signed zeros
+    add to -0.0 only when both are -0.0 (a & b), and subtract to -0.0 only
+    when a's is -0.0 and b's +0.0 (a & ~b), with b's bits read at their
+    shift relative to a's.  The float +0.0 once no bit is left."""
+    az, ak, bz, bk = ra[2], ra[3], rb[2], rb[3]
+    if type(az) is not np.ndarray:          # a float: -0.0 is every bit
+        if _is_plus(az):
+            return 0.0, 0
+        bits, k = (~bz if sub else bz.copy()), bk
+    elif type(bz) is not np.ndarray:
+        if _is_plus(bz) != sub:
+            return 0.0, 0
+        bits, k = az.copy(), ak
+    else:
+        bits, k = _rotated_bits(bz, (bk - ak) % size, size), ak
+        if sub:
+            np.invert(bits, out=bits)
+        bits &= az
+    _clear_bits(bits, size, 8 * bits.shape[0])     # the padding of a short vector
+    start = (lo + k) % size
+    _clear_bits(bits, start, min(start + hi - lo, size))
+    _clear_bits(bits, 0, start + hi - lo - size)
+    if not bits.any():
+        return 0.0, 0
+    bits.flags.writeable = False
+    return bits, k
 
 
 def _pattern(v: SlotVector):
@@ -435,15 +577,17 @@ def _support(v: SlotVector):
 
 
 def _run(v: SlotVector, k: int = 0):
-    """``rotate(v, k)`` as a slice run ``(lo, hi, zero, values)``, or None.
-    v is a window-1 sparse vector over a step-1 slice whose zero is a float
-    +-0.0 or a +0.0 source pattern, or an unread rotation of one."""
+    """``rotate(v, k)`` as a slice run ``(lo, hi, zero, shift, values)``, or
+    None.  v is a window-1 sparse vector over a step-1 slice whose zero is a
+    float +-0.0 or the packed sign bits of a finite source, or an unread
+    rotation of one; the zero of slot j is then the float, or -0.0 where bit
+    (j + shift) % size is set."""
     if type(v) is RotatedVector:
         k, v = k + v.k, v.src
     if type(v) is not SparseVector or v.window != 1 or type(v.support) is not slice:
         return None
     zero = v.zero if v.src is None else _pattern(v.src)
-    if type(zero) is np.ndarray or zero is None or zero != 0.0:     # sign bits; NaN or inf
+    if zero is None or (type(zero) is not np.ndarray and zero != 0.0):   # NaN or inf
         return None
     size = v.size
     lo, hi, step = v.support.indices(size)
@@ -452,7 +596,7 @@ def _run(v: SlotVector, k: int = 0):
         lo, hi = lo + size, hi + size
     if step != 1 or hi < lo or hi - k > size:       # a wrap
         return None
-    return lo - k, hi - k, zero, v.values
+    return lo - k, hi - k, zero, (v.k + k) % size, v.values
 
 
 def _owned(v: SlotVector):
@@ -655,7 +799,8 @@ class SlotEngine:
         """A sparse vector whose window covers every slot, or its one value as
         a uniform vector when that is exact (see the module docstring)."""
         if (type(support) is int and values != 0.0 and math.isfinite(values)
-                and (math.isfinite(zero) if src is None else _pattern(src) is not None)):
+                and (_pattern(src) is not None if src is not None
+                     else type(zero) is np.ndarray or math.isfinite(zero))):
             return self._uniform(values, size, level)
         return SparseVector(size, src, k, zero, support, values, window, level,
                             next(self._uid))
@@ -669,19 +814,21 @@ class SlotEngine:
 
     def _merge(self, ufunc, scalar_op, ra, rb, size, level):
         """ufunc of two runs (``_run``) as a run over their union; None at a gap."""
-        alo, ahi, az, av = ra
-        blo, bhi, bz, bv = rb
+        alo, ahi, az, _, av = ra
+        blo, bhi, bz, _, bv = rb
         if alo > bhi or blo > ahi:
             return None
         lo, hi = min(alo, blo), max(ahi, bhi)
         if alo == blo and ahi == bhi:
             values = ufunc(av, bv)
         else:
-            values, other = np.full(hi - lo, az), np.full(hi - lo, bz)
-            values[alo - lo:ahi - lo] = av
-            other[blo - lo:bhi - lo] = bv
-            ufunc(values, other, out=values)
-        return SparseVector(size, None, 0, scalar_op(az, bz), slice(lo, hi), values, 1, level,
+            values = _spread(ra, lo, hi, size)
+            ufunc(values, _spread(rb, lo, hi, size), out=values)
+        if type(az) is not np.ndarray and type(bz) is not np.ndarray:
+            zero, k = scalar_op(az, bz), 0
+        else:
+            zero, k = _union_zero(ufunc is np.subtract, ra, rb, lo, hi, size)
+        return SparseVector(size, None, k, zero, slice(lo, hi), values, 1, level,
                             next(self._uid))
 
     # --- operations ---------------------------------------------------------
@@ -701,7 +848,9 @@ class SlotEngine:
             sv = UniformVector(size, scalar_op(a.value, b.value), level, next(self._uid))
         elif (tb is SparseVector and type(a) is SparseVector and a.src is None is b.src
               and type(sa := a.support) is slice is type(b.support) and sa == b.support
-              and sa.step in (None, 1) and a.window == 1 == b.window and a.zero == 0.0 == b.zero):
+              and sa.step in (None, 1) and a.window == 1 == b.window
+              and type(a.zero) is not np.ndarray is not type(b.zero)      # not sign bits
+              and a.zero == 0.0 == b.zero):
             # two runs on one slice, tested inline (the gradient sums): see _run
             sv = SparseVector(size, None, 0, scalar_op(a.zero, b.zero), a.support,
                               ufunc(a.values, b.values), 1, level, next(self._uid))
@@ -788,9 +937,10 @@ class SlotEngine:
                     sv = SparseVector(size, None, 0, t * 0.0, support, values, 1, level,
                                       next(self._uid))
         elif ((ra := _run(a)) is not None and (rb := _run(b)) is not None
-              and ra[:2] == rb[:2] and _is_plus(ra[2]) and _is_plus(rb[2])):
+              and ra[:2] == rb[:2] and type(ra[2]) is not np.ndarray is not type(rb[2])
+              and _is_plus(ra[2]) and _is_plus(rb[2])):
             sv = SparseVector(size, None, 0, 0.0, slice(ra[0], ra[1]),
-                              self._product(ra[3], rb[3]), 1, level, next(self._uid))
+                              self._product(ra[4], rb[4]), 1, level, next(self._uid))
         else:
             sv = self._new(self._product(a.slots, b.slots), level)
         if self.trace is not None:
@@ -829,7 +979,8 @@ class SlotEngine:
                 start, stop, step = index.indices(size)
                 if (step == 1 and src is a    # no run test for a rotation (the row cuts)
                         and (run := _run(a)) is not None and run[:2] == (start, stop)):
-                    src, zero, picked = None, run[2] * 0.0, run[3]
+                    # a signed zero times the mask's +0.0 keeps its sign
+                    src, zero, k, picked = None, run[2], run[3], run[4]
                 elif step > 0 and stop + k <= size:      # no wrap: a view, read once below
                     picked = src.slots[start + k:stop + k:step]
                 else:

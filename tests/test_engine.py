@@ -1170,7 +1170,7 @@ def test_sum_chains_match_dense_composition_and_eager_trace(plan):
 # --- slice runs against the dense composition ---------------------------------
 
 RUN_FORMS = ["+0.0 zero", "-0.0 zero", "+0.0 pattern", "NaN zero", "sign-bit pattern"]
-IS_RUN = {"+0.0 zero", "-0.0 zero", "+0.0 pattern"}
+IS_RUN = {"+0.0 zero", "-0.0 zero", "+0.0 pattern", "sign-bit pattern"}
 
 
 @st.composite
@@ -1235,9 +1235,9 @@ def test_slice_run_rules_match_dense_composition(data):
     only, unless the run is a rotation, whose picks come from its source.
     Equal, overlapping, touching and gapped runs, an unread rotation as the
     right operand (rotate, then add), shifts that wrap, right operands read
-    first.  An unread sparse right operand on another run, a NaN zero, a
-    sign-bit pattern, a gap or a wrap take the path they take without the
-    rule.  Either way type, bits and level are checked against the dense
+    first.  A sign-bit pattern is a run.  An unread sparse right operand on
+    another run, a NaN zero, a gap or a wrap take the path they take without
+    the rule.  Either way type, bits and level are checked against the dense
     composition."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([2, 8, 16, 32]))
@@ -1300,6 +1300,162 @@ def test_slice_run_rules_match_dense_composition(data):
     want_level = None if a.level is None else min(a.level, b.level)
     assert out.level == want_level
     assert bits(out.slots) == bits(ufunc(a.slots, b.slots))
+
+
+# --- sign-bit runs and reach builds against the dense composition --------------
+
+@st.composite
+def signed_run(draw, eng):
+    """(a slice cmult of a rotated encrypted source, its slot range if it is
+    a run).  The source is +0.0-signed but for one -0.0 or -1.0, mostly
+    negative, of mixed signs, or holds a NaN or an infinity (no run)."""
+    size = eng.config.slots
+    kind = draw(st.sampled_from(["one negative", "mostly negative", "mixed", "non-finite"]))
+    sign = -1.0 if kind == "mostly negative" else 1.0
+    vals = sign * draw(arrays(np.float64, size, elements=st.floats(0.0, 4.0)))
+    if kind == "mixed":
+        vals *= draw(arrays(np.float64, size, elements=st.sampled_from([1.0, -1.0])))
+    if kind in ("one negative", "non-finite"):
+        vals[draw(st.integers(0, size - 1))] = draw(st.sampled_from(
+            [-0.0, -1.0] if kind == "one negative" else [float("nan"), float("inf"), -np.inf]))
+    lo = draw(st.integers(0, size - 1))
+    hi = draw(st.integers(lo, size))
+    mask = segment_mask(eng, lo, hi - lo, draw(st.sampled_from([1.0, -0.0, 2.5, -3.0])))
+    v = eng.cmult(eng.rotate(eng.encrypt(vals), draw(st.integers(0, size - 1))), mask)
+    return v, (None if kind == "non-finite" else (lo, hi))
+
+
+@fp_warnings_ignored
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_sign_bit_runs_match_dense_composition(data):
+    """Runs whose zero is a finite source's sign bits merge like float-zero
+    runs: a chain of add, sub, rotate_add and rotate-then-add (or add of a
+    right operand read first) over sign-bit runs, float +-0.0 runs and
+    non-runs, at relative shifts that are and are not multiples of 8.  Each
+    result whose operands are runs with one union is a run over it, which
+    keeps sign bits only while some slot off the union is -0.0; any other
+    result takes the path it takes without the rule.  Type and level are
+    checked at each op, bits at the end (every vector read), against the
+    dense composition."""
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    eng = lazy_engine(backend, size)
+    lo = data.draw(st.integers(0, size - 1))
+    v, form = data.draw(slice_run(eng, lo, data.draw(st.integers(lo, size))))
+    runs = [data.draw(signed_run(eng)), data.draw(signed_run(eng)),
+            (v, v.support.indices(size)[:2] if form in IS_RUN else None)]
+    pool = [(v, v.slots.copy() if data.draw(st.booleans()) else eng.decrypt(v), run)
+            for v, run in runs]
+    for _ in range(data.draw(st.integers(1, 6))):
+        x, x_ref, x_run = pool[data.draw(st.integers(0, len(pool) - 1))]
+        op = data.draw(st.sampled_from(["add", "sub", "rotate_add"]))
+        k = data.draw(st.integers(0, size - 1))
+        if op == "rotate_add":
+            out, ref = eng.rotate_add(x, k), ref_rotate_add(x_ref, k)
+            y_run, level = x_run if x_run is None else rotated_range(*x_run, k, size), x.level
+            doubling = type(x) is SparseVector and k == x.window
+        else:
+            y, y_ref, y_run = pool[data.draw(st.integers(0, len(pool) - 1))]
+            if data.draw(st.booleans()):
+                y, y_ref = eng.rotate(y, k), np.roll(y_ref, -k)
+                y_run = y_run if y_run is None else rotated_range(*y_run, k, size)
+            else:
+                y.slots                 # read: no pending sum
+            out = (eng.add if op == "add" else eng.sub)(x, y)
+            ref = (np.add if op == "add" else np.subtract)(x_ref, y_ref)
+            level = None if x.level is None else min(x.level, y.level)
+            doubling = False
+        merged = (not doubling and x_run is not None and y_run is not None
+                  and not (x_run[0] > y_run[1] or y_run[0] > x_run[1]))
+        assert type(out) is (SparseVector if merged or doubling else SlotVector)
+        assert out.level == level
+        run = None
+        if merged:
+            run = min(x_run[0], y_run[0]), max(x_run[1], y_run[1])
+            assert out.src is None and out.support.indices(size)[:2] == run
+            if type(out.zero) is np.ndarray:     # the off-union -0.0 slots, at least one
+                signs = np.roll(np.unpackbits(out.zero, count=size, bitorder="little"), -out.k)
+                off = np.r_[0:run[0], run[1]:size]
+                assert not signs[run[0]:run[1]].any() and signs.any()
+                assert list(signs[off]) == list(np.signbit(ref[off]))
+        pool.append((out, ref, run))
+    for v, ref, _ in pool:
+        assert bits(eng.decrypt(v)) == bits(ref)
+        assert bits(v.slots) == bits(ref)
+
+
+@fp_warnings_ignored
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_reach_builds_match_dense_doublings(data):
+    """A sparse vector of window w over a step-1 slice [lo, hi) whose zero is
+    a float +-0.0 is built on its reach [lo - w + 1, hi) alone, which may
+    wrap at slot 0, while the reach plus w fits the slots; past that guard,
+    and for a NaN zero or sign bits, the full-width doublings run.  Windows 2
+    up to size/2, reaches at, below and past the guard; bits of a read and
+    of a decrypt against the dense doublings, and the full-width kernel runs
+    only where the rule does not apply."""
+    from unittest import mock
+
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([4, 8, 16, 32, 64, 128]))
+    eng = lazy_engine(backend, size)
+    window = 2 ** data.draw(st.integers(1, size.bit_length() - 2))
+    guard = size - 2 * window + 1           # the longest run whose reach fits
+    length = {"at": guard, "below": data.draw(st.integers(1, guard)),
+              "past": data.draw(st.integers(guard + 1, size))}[
+        data.draw(st.sampled_from(["at", "below", "past"]))]
+    lo = data.draw(st.integers(0, size - length) | st.integers(0, min(window - 2, size - length)))
+    form = data.draw(st.sampled_from(["+0.0", "-0.0", "NaN", "sign bits"]))
+    values = data.draw(arrays(np.float64, length, elements=ELEMENTS["any"]))
+    k = 0
+    if form == "sign bits":
+        signs = data.draw(arrays(np.uint8, size, elements=st.integers(0, 1)))
+        zero, k = np.packbits(signs, bitorder="little"), data.draw(st.integers(0, size - 1))
+        ref = np.where(np.roll(signs, -k), -0.0, 0.0)
+    else:
+        zero = {"+0.0": 0.0, "-0.0": -0.0, "NaN": float("nan")}[form]
+        ref = np.full(size, zero)
+    ref[lo:lo + length] = values
+    level = None if backend == "exact" else 20
+    v = SparseVector(size, None, k, zero, slice(lo, lo + length), values, 1, level,
+                     next(eng._uid))
+    step = 1
+    while step < window:
+        v, ref = eng.rotate_add(v, step), ref_rotate_add(ref, step)
+        step *= 2
+    assert type(v) is SparseVector and v.window == window and v.level == level
+    calls = Counter()
+    full_width = _kernels.rotate_add
+
+    def counted(a, k):
+        calls["rotate_add"] += 1
+        return full_width(a, k)
+
+    with mock.patch.object(_kernels, "rotate_add", counted):
+        owned = eng.decrypt(v)
+        read = v.slots
+    assert bits(owned) == bits(ref)
+    assert bits(read) == bits(ref)
+    reach_only = form in ("+0.0", "-0.0") and length <= guard
+    assert (calls["rotate_add"] == 0) == reach_only
+
+
+@fp_warnings_ignored
+@settings(max_examples=200, deadline=None)
+@given(sum_chain())
+def test_sum_chains_built_in_blocks_of_one_term_match_dense_composition(plan):
+    """A pending sum resolves its -0.0 candidates in blocks of terms; with
+    one term per block the bits are those of the slotwise composition."""
+    from unittest import mock
+
+    from henn import engine
+
+    with mock.patch.object(engine, "_BLOCK", 1):
+        _, checks = run_sum_chain(plan, eager=False)
+    for name, got, want in checks:
+        assert bits(got) == bits(want), name
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01])
@@ -1470,3 +1626,38 @@ def test_matmul_builds_its_accumulator_once_per_result_column(backend, monkeypat
     product = decode_matrix(eng, vr_matmul(eng, a, b_t))
     assert np.max(np.abs(product - A @ B)) < 1e-6
     assert passes["sum"] + passes["dense add"] <= p
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+def test_matmul_column_stays_on_the_tile_slots(backend, monkeypatch):
+    """Traffic guard: at desk scale (4096 slots, a 16x8 tile times an 8x8
+    transposed tile, uniform in [-1, 1]), a row cut from the transposed tile
+    is a sign-bit run, so its replication over the row blocks merges runs,
+    the product multiplies two runs, and each block-sum window is built on
+    its reach: one vr_matmul runs no full-width rotate_add kernel and no
+    dense mult."""
+    from henn.encoding import decode_matrix, encode_matrix
+    from henn.linalg import vr_matmul
+
+    rng = np.random.default_rng(0)
+    A, B = rng.uniform(-1.0, 1.0, (16, 8)), rng.uniform(-1.0, 1.0, (8, 8))
+    eng = lazy_engine(backend, 4096)
+    a = encode_matrix(eng, A, Layout.FULL_MATRIX)
+    b_t = encode_matrix(eng, B.T, Layout.FULL_MATRIX)
+    calls = Counter()
+    rotate_add, mult = _kernels.rotate_add, SlotEngine.mult
+
+    def counted_rotate_add(x, k):
+        calls["full-width rotate_add"] += x.shape[0] == 4096
+        return rotate_add(x, k)
+
+    def counted_mult(self, x, y):
+        out = mult(self, x, y)
+        calls["dense mult"] += type(out) is SlotVector
+        return out
+
+    monkeypatch.setattr(_kernels, "rotate_add", counted_rotate_add)
+    monkeypatch.setattr(SlotEngine, "mult", counted_mult)
+    product = vr_matmul(eng, a, b_t)
+    assert sum(calls.values()) == 0, dict(calls)
+    assert np.max(np.abs(decode_matrix(eng, product) - A @ B)) < 1e-6

@@ -60,7 +60,9 @@ the dense kernel.
   bits are ``a & b`` for add and ``a & ~b`` for sub, with b's bits read at
   their shift relative to a's (whole bytes of the 4 KB of packed bits when
   that shift is a multiple of 8).  The merged run holds the bits left off
-  the union itself, and the float +0.0 once none is left.
+  the union itself, and the float +0.0 once none is left.  An add of two
+  touching runs whose values are all finite and non-zero concatenates
+  them, as x + (+-0.0) is x.
 * ``mult``: a uniform left operand t enters as a scalar.  With a uniform
   right operand the product is one float through the scalar kernel; with a
   window-1 sparse x whose zeros are +0.0, only x's own support is
@@ -81,8 +83,12 @@ the dense kernel.
   window-1 sparse vector over that vector's pattern: the dense product's
   slots at the mask's +0.0 slots, NaN included; a run that is no rotation,
   by a mask on its own slice, gives a run of its values times the mask and
-  its own zero, as a signed zero times +0.0 keeps its sign.  A one-hot
-  product is one call of a scalar kernel.
+  its own zero, as a signed zero times +0.0 keeps its sign; an unread
+  window built on its reach (below) gives its picks from the reach alone,
+  and with a +0.0 zero its ``_pattern`` from the reach, which the block
+  sums inherit when their values are finite and keep the picks' sign bits.
+  A one-hot product is one call of a scalar kernel, and reads a slot on
+  the support of an unread window-1 sparse source from its ``values``.
 * ``rotate`` gives a rotation.
 * ``rotate_add(v, k)`` of a sparse v whose window is k doubles the window,
   as ``roll_fill`` does after ``keep_only``.  When the window covers every
@@ -120,9 +126,12 @@ the chain once and builds the sum in one pass:
    term has -0.0 there.  A term's support slots count as -0.0 here, since
    they take a value, not a zero; a zero slot j of a pattern term has the
    sign bit of ``src`` at ``(j + k) % size``.  The candidates, the -0.0
-   slots of the base, are resolved against all terms at once, in blocks
-   of terms that keep the candidates x terms arrays near ``_BLOCK``
-   entries, and a block drops the candidates it clears;
+   slots of the base, are resolved against all terms at once, one row per
+   term, but one per group of one-slot terms with one operation, shift
+   and zero object, whose zeros agree: it skips its slot only when every
+   term of the group takes that slot.  The rows go in blocks that keep
+   the candidates x rows arrays near ``_BLOCK`` entries, and a block drops
+   the candidates it clears;
 3. apply the values on each term's support, in term order, with the
    operation of its add or sub: numpy's scalar or array arithmetic, as a
    one-term sum would.  When every term is one slot, the slots are
@@ -137,9 +146,11 @@ values and support, so an unread sum pins no full-width vector besides its
 base, not a matmul column's block sums.
 
 Each lazy form has one ``_build``, which replays the dense composition into
-a fresh array and clears nothing.  A sparse vector of window w over a
-step-1 slice [lo, hi) with a float +-0.0 zero builds its reach [lo - w + 1,
-hi) alone (it may wrap at slot 0): the same doublings on that short array,
+a fresh array and clears nothing; a sparse vector over a source whose
+``_pattern`` is cached reads its zeros from that.  A sparse vector of
+window w over a step-1 slice [lo, hi) with a float +-0.0 zero builds its
+reach [lo - w + 1, hi) alone (``_reach``; it may wrap at slot 0): the same
+doublings on that short array,
 where the partners past hi read the zero, which is what they hold there,
 and every other slot holds the sum of w zeros, the zero.  That needs the
 partners past hi to miss [lo, hi), so a reach that w more slots would take
@@ -324,37 +335,22 @@ class SparseVector(_LazyVector):
         self._cache = None
 
     def _build(self):
-        size, zero, window = self.size, self.zero, self.window
-        if self.src is None and type(zero) is np.ndarray:
+        size, src, zero = self.size, self.src, self.zero
+        if src is not None and getattr(src, "_pattern", None) is not None:
+            src, zero = None, src._pattern      # the cached pattern: +0.0 or sign bits
+        if src is None and type(zero) is np.ndarray:
             signs = np.unpackbits(zero, count=size, bitorder="little")
             out = np.where(np.concatenate((signs[self.k:], signs[:self.k])), -0.0, 0.0)
-        elif self.src is None:
+        elif src is None:
             # np.zeros leaves the pages that no value reaches unmapped
             out = np.zeros(size) if _is_plus(zero) else np.full(size, zero)
-            if window > 1 and zero == 0.0 and type(self.support) is slice:
-                lo, hi, stride = self.support.indices(size)
-                lo -= window - 1
-                if stride == 1 and lo + window - 1 < hi and hi - lo + window <= size:
-                    # the reach [lo, hi), which may wrap at slot 0; every
-                    # other slot sums window zeros, which is the zero
-                    reach = np.empty(hi - lo)
-                    reach[:window - 1] = zero
-                    reach[window - 1:] = self.values
-                    step = 1
-                    while step < window:
-                        reach = _kernels.shift_add(reach, step, zero)
-                        step *= 2
-                    if lo < 0:
-                        out[lo:] = reach[:-lo]
-                        out[:hi] = reach[-lo:]
-                    else:
-                        out[lo:hi] = reach
-                    return out
+            if (reach := _reach(self)) is not None:
+                return _put_reach(out, *reach)
         elif self.k:
-            out = _kernels.rotate(self.src.slots, self.k)
+            out = _kernels.rotate(src.slots, self.k)
             out *= 0.0
         else:
-            out = self.src.slots * 0.0
+            out = src.slots * 0.0
         out[self.support] = self.values
         step = 1
         while step < self.window:
@@ -402,9 +398,18 @@ class SumVector(_LazyVector):
             out += -0.0                  # in place: the array is this sum's own
         size = self.size
         minus = np.flatnonzero(out.view(np.uint64) == _MINUS_ZERO)
+        rows, groups = [], {}
+        for t in terms if minus.size else ():
+            if type(t[4]) is int:       # one slot: one row per (op, shift, zero)
+                group = groups.setdefault((t[0], t[2], id(t[3])), [t, t[4] % size])
+                if group[1] != t[4] % size:
+                    group[1] = size     # no slot that every term of the group takes
+            else:
+                rows.append(t)
+        rows += [t[:4] + (at,) for t, at in groups.values()]
         done = 0
-        while minus.size and done < len(terms):
-            block = terms[done:done + max(1, _BLOCK // minus.size)]
+        while minus.size and done < len(rows):
+            block = rows[done:done + max(1, _BLOCK // minus.size)]
             done += len(block)
             cleared = _adds_plus(block, minus, source, size).any(axis=0)
             out[minus[cleared]] = 0.0
@@ -452,7 +457,7 @@ def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
 def _adds_plus(terms, minus, source, size: int) -> np.ndarray:
     """Whether each of the terms of a sum adds a +0.0 (a zero, not a value)
     at each of the sorted candidate slots minus: a bool array, one row per
-    term (see ``SumVector``)."""
+    term (see ``SumVector``); an int support is reduced, and size is none."""
     sub = np.array([t[0] is np.subtract for t in terms])
     if source is None:
         plus = np.zeros((len(terms), minus.size), dtype=bool)
@@ -462,10 +467,12 @@ def _adds_plus(terms, minus, source, size: int) -> np.ndarray:
         plus = plus == sub[:, None]
     supports = [t[4] for t in terms]
     if all(type(s) is int for s in supports):
-        plus &= minus != (np.array(supports) % size)[:, None]
+        plus &= minus != np.array(supports)[:, None]
     else:
         for row, support in zip(plus, supports):
-            if row.any():
+            if type(support) is int:
+                row &= minus != support
+            elif row.any():
                 row &= ~_in_support(minus, support, size)
     return plus
 
@@ -486,8 +493,11 @@ def _rotated_bits(bits: np.ndarray, k: int, size: int) -> np.ndarray:
 
 
 def _clear_bits(bits: np.ndarray, start: int, stop: int):
-    """Clear the packed bits [start, stop) in place."""
+    """Clear the packed bits [start, stop) in place, by whole bytes if aligned."""
     if start >= stop:
+        return
+    if not (start | stop) & 7:
+        bits[start >> 3:stop >> 3] = 0
         return
     first, last = start >> 3, (stop + 7) >> 3
     span = np.unpackbits(bits[first:last], bitorder="little")
@@ -597,6 +607,51 @@ def _run(v: SlotVector, k: int = 0):
     if step != 1 or hi < lo or hi - k > size:       # a wrap
         return None
     return lo - k, hi - k, zero, (v.k + k) % size, v.values
+
+
+def _reach(v: SparseVector):
+    """``(lo, reach)``: the slots from lo (a negative lo wraps at slot 0) of a
+    sparse v of window w > 1 over a step-1 slice with a float +-0.0 zero, on
+    its reach, where the rule holds (see the module docstring); else None."""
+    zero, window, size = v.zero, v.window, v.size
+    if (v.src is not None or window == 1 or type(zero) is np.ndarray or zero != 0.0
+            or type(v.support) is not slice):
+        return None
+    lo, hi, stride = v.support.indices(size)
+    lo -= window - 1
+    if stride != 1 or lo + window - 1 >= hi or hi - lo + window > size:
+        return None
+    reach = np.empty(hi - lo)
+    reach[:window - 1] = zero
+    reach[window - 1:] = v.values
+    step = 1
+    while step < window:
+        reach = _kernels.shift_add(reach, step, zero)
+        step *= 2
+    return lo, reach
+
+
+def _put_reach(out: np.ndarray, lo: int, reach: np.ndarray) -> np.ndarray:
+    """out with reach written from slot lo on (a negative lo wraps at slot 0)."""
+    if lo < 0:
+        out[lo:] = reach[:-lo]
+        out[:lo + reach.shape[0]] = reach[-lo:]
+    else:
+        out[lo:lo + reach.shape[0]] = reach
+    return out
+
+
+def _reach_pattern(lo: int, reach: np.ndarray, size: int):
+    """``_pattern`` of a vector that holds reach from slot lo (as in
+    ``_reach``) and +0.0 elsewhere, from the reach alone."""
+    if not np.isfinite(reach).all():
+        return None
+    signs = np.signbit(reach)
+    if not signs.any():
+        return 0.0
+    bits = np.packbits(_put_reach(np.zeros(size, dtype=bool), lo, signs), bitorder="little")
+    bits.flags.writeable = False
+    return bits
 
 
 def _owned(v: SlotVector):
@@ -821,6 +876,10 @@ class SlotEngine:
         lo, hi = min(alo, blo), max(ahi, bhi)
         if alo == blo and ahi == bhi:
             values = ufunc(av, bv)
+        elif (ufunc is np.add and (ahi == blo or bhi == alo)      # touching: x + (+-0.0)
+              and np.isfinite(values := np.concatenate((av, bv) if ahi == blo else (bv, av))).all()
+              and values.all()):                                # is x for finite x != 0
+            pass
         else:
             values = _spread(ra, lo, hi, size)
             ufunc(values, _spread(rb, lo, hi, size), out=values)
@@ -968,11 +1027,21 @@ class SlotEngine:
             mq = _kernels.quantize(m.slots, self._scale) if level is not None else m.slots
             sv = self._new(self._product(a.slots, mq), level)
         else:
-            src, k, zero = a, 0, None
+            src, k, zero, pattern = a, 0, None, None
             if type(a) is RotatedVector and (rot_src := a.src) is not None:
                 src, k = rot_src, a.k
             if type(index) is int:
-                picked = float(src.slots[(index + k) % size])
+                at = (index + k) % size
+                if (type(src) is SparseVector and src is not a and src._cache is None
+                        and src.window == 1 and type(on := src.support) is slice):
+                    # an unread vector's value on its support
+                    lo, _, stride = on.indices(size)
+                    i, off = divmod(at - lo, stride)
+                    values = src.values
+                    picked = float(values[i] if not off and 0 <= i < values.shape[0]
+                                   else src.slots[at])
+                else:
+                    picked = float(src.slots[at])
                 value = (picked * m.value if level is None
                          else _kernels.cmult_rescale_float(picked, m.value, self._scale))
             else:
@@ -981,6 +1050,14 @@ class SlotEngine:
                         and (run := _run(a)) is not None and run[:2] == (start, stop)):
                     # a signed zero times the mask's +0.0 keeps its sign
                     src, zero, k, picked = None, run[2], run[3], run[4]
+                elif (src is a and type(a) is SparseVector and a._cache is None
+                      and (reach := _reach(a)) is not None):
+                    lo, reach = reach
+                    at = (np.arange(start, stop, step) - lo) % size
+                    picked = np.where(at < reach.shape[0],
+                                      reach[np.minimum(at, reach.shape[0] - 1)], a.zero)
+                    if _is_plus(a.zero):
+                        pattern = a._pattern = _reach_pattern(lo, reach, size)
                 elif step > 0 and stop + k <= size:      # no wrap: a view, read once below
                     picked = src.slots[start + k:stop + k:step]
                 else:
@@ -992,6 +1069,9 @@ class SlotEngine:
                 sv = self._sparse_vector(src, k, zero, index, value, 1, size, level)
             else:
                 sv = SparseVector(size, src, k, zero, index, value, 1, level, next(self._uid))
+            if (pattern is not None and np.isfinite(value).all()
+                    and np.array_equal(np.signbit(value), np.signbit(picked))):
+                sv._pattern = pattern       # the picks keep their sign bits
         if self.trace is not None:
             self.trace.record("cmult", (a.uid,), sv.uid, 1, level)
         return sv

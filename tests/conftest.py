@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from henn.engine import EngineConfig, SlotEngine
+from henn.engine import EngineConfig, SlotEngine, SlotVector
+from henn.errors import DepthExhausted, InputTooLong, LengthMismatch
 
 
 @pytest.fixture
@@ -63,3 +64,72 @@ def make_regression_batch(rng, n, d):
     X = np.hstack([np.ones((n, 1)), rng.uniform(0.0, 1.0, (n, d))])
     t = rng.uniform(0.0, 1.0, (n, 1))
     return Batch(X, t, "regression")
+
+
+class DenseEngine(SlotEngine):
+    """The reference composition of every engine op on dense slots:
+    ``np.roll`` for rotations and rint(x * y * 2**p) / 2**p for products on
+    the leveled backend, with the lazy engine's level charges, uids, errors
+    and ``OpTrace`` records, so a run on it and on ``SlotEngine`` can be
+    compared slot for slot, bit for bit."""
+
+    def _rescale(self, x):
+        return np.rint(x * self._scale) / self._scale if self._leveled else x
+
+    def _level(self, op, a, b=None, consumed=0):
+        if b is not None and b.size != a.size:
+            raise LengthMismatch(f"{a.size} vs {b.size} slots")
+        level = a.level
+        if level is None:
+            return None
+        if b is not None:
+            level = min(level, b.level)
+        if consumed:
+            if level < 1:
+                raise DepthExhausted(f"{op}: operand at level 0 "
+                                     f"(budget {self.config.level_budget})")
+            level -= 1
+        return level
+
+    def _out(self, op, ins, slots, consumed, level):
+        sv = SlotVector(slots, level, next(self._uid))
+        if self.trace is not None:
+            self.trace.record(op, tuple(v.uid for v in ins), sv.uid, consumed, level)
+        return sv
+
+    def encrypt(self, values):
+        values = np.array(values, dtype=np.float64).ravel()
+        if values.shape[0] > self.config.slots:
+            raise InputTooLong(f"{values.shape[0]} values > {self.config.slots} slots")
+        slots = np.zeros(self.config.slots)
+        slots[:values.shape[0]] = self._rescale(values)
+        level = self.config.level_budget if self._leveled else None
+        return self._out("encrypt", (), slots, 0, level)
+
+    def add(self, a, b):
+        return self._out("add", (a, b), a.slots + b.slots, 0, self._level("add", a, b))
+
+    def sub(self, a, b):
+        return self._out("sub", (a, b), a.slots - b.slots, 0, self._level("sub", a, b))
+
+    def mult(self, a, b):
+        level = self._level("mult", a, b, 1)
+        return self._out("mult", (a, b), self._rescale(a.slots * b.slots), 1, level)
+
+    def cmult(self, a, m):
+        if m.size != a.size:
+            raise LengthMismatch(f"{a.size} vs {m.size} slots")
+        level = self._level("cmult", a, None, 1)
+        mask = self._rescale(m.slots)
+        return self._out("cmult", (a,), self._rescale(a.slots * mask), 1, level)
+
+    def rotate(self, a, k):
+        return self._out("rotate", (a,), np.roll(a.slots, -k), 0, a.level)
+
+    def rotate_add(self, a, k):
+        sv = SlotVector(a.slots + np.roll(a.slots, -k), a.level, next(self._uid))
+        if self.trace is not None:
+            rot_uid = next(self._uid)
+            self.trace.record("rotate", (a.uid,), rot_uid, 0, a.level)
+            self.trace.record("add", (a.uid, rot_uid), sv.uid, 0, a.level)
+        return sv

@@ -1458,6 +1458,222 @@ def test_sum_chains_built_in_blocks_of_one_term_match_dense_composition(plan):
         assert bits(got) == bits(want), name
 
 
+# --- the matmul column rules against the dense composition --------------------
+
+def dense_pattern(eng, slots):
+    """``_pattern`` of a dense vector of these slots, read from them."""
+    return _pattern(eng._new(slots.copy(), None))
+
+
+def same_pattern(got, want):
+    if type(want) is np.ndarray:
+        return type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    return type(got) is not np.ndarray and got == want
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grouped_sum_resolve_matches_dense_composition(data):
+    """A pending sum of one-slot terms resolves the -0.0 slots of its base
+    with one row per (op, shift, zero) group: groups of one and of many
+    terms, groups whose terms all take one slot (which the group then
+    excludes) or several, sub terms, terms over one source's sign bits or
+    its +0.0 pattern and products with a float zero of either sign, in
+    blocks of ``_BLOCK`` candidate x term entries or of one; bits against
+    the dense composition."""
+    from unittest import mock
+
+    from henn import engine
+
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([2, 8, 16, 32]))
+    eng = lazy_engine(backend, size)
+    zeros = data.draw(st.sampled_from(["sign bits", "+0.0 pattern"]))
+    # finite after the leveled encrypt, so that every term joins one sum
+    src_vals = data.draw(arrays(np.float64, size, elements=(
+        st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, -5e-324])) if zeros == "sign bits"
+        else st.floats(0.0, 4.0) | st.sampled_from([0.0, 5e-324])))
+    src = eng.encrypt(src_vals)
+    src_ref = src.slots.copy()
+    base_vals = data.draw(arrays(np.float64, size,
+                                 elements=st.sampled_from([-0.0, -0.0, -0.0, 0.0, 1.5, -2.0])))
+    acc, want = eng.encrypt(base_vals), eng.encrypt(base_vals).slots.copy()
+    shifts = data.draw(st.lists(st.integers(-size, size), min_size=1, max_size=3))
+    slots = data.draw(st.lists(st.integers(-size, size - 1), min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(1, 12))):
+        k, i = data.draw(st.sampled_from(shifts)), data.draw(st.sampled_from(slots))
+        if zeros == "+0.0 pattern" and data.draw(st.booleans()):
+            t = data.draw(st.sampled_from([1.5, -2.0, 0.0, -0.0]))     # zero t * 0.0
+            x = eng.cmult(src, one_hot_mask(eng, i))
+            term = eng.mult(eng._uniform(t, size, x.level), x)
+            term_ref = ref_mul(eng, np.full(size, t), ref_cmult(eng, src_ref, i, 1.0))
+        else:       # a value whose sign differs from its zero's needs the skipped slot
+            m = data.draw(st.sampled_from([1.0, 2.5, -1.0, -0.0]))
+            term = eng.cmult(eng.rotate(src, k), PlainMask.structured(size, i, m))
+            term_ref = ref_cmult(eng, np.roll(src_ref, -(k % size)), i, m)
+        if data.draw(st.booleans()):
+            acc, want = eng.add(acc, term), want + term_ref
+        else:
+            acc, want = eng.sub(acc, term), want - term_ref
+    assert type(acc) is SumVector
+    with mock.patch.object(engine, "_BLOCK", data.draw(st.sampled_from([1, engine._BLOCK]))):
+        assert bits(eng.decrypt(acc)) == bits(want)
+        assert bits(acc.slots) == bits(want)
+
+
+@pytest.mark.parametrize("backend", ["exact", "leveled"])
+@pytest.mark.parametrize("slots", [(0, 1), (0, 0)])
+def test_grouped_resolve_skips_a_slot_only_when_every_term_takes_it(backend, slots):
+    """Two terms of one group, the first a -0.0 value (+0.0 times a negative
+    mask) on slot 0 of a -0.0 base: where the second adds a +0.0 zero there,
+    the slot clears before the value is added, as in the dense composition."""
+    eng = lazy_engine(backend, 8)
+    src = eng.encrypt(np.arange(8.0))
+    acc, want = eng.encrypt(np.full(8, -0.0)), np.full(8, -0.0)
+    for i, m in zip(slots, [-1.0, 1.0]):
+        acc = eng.add(acc, eng.cmult(eng.rotate(src, 0), PlainMask.structured(8, i, m)))
+        want = want + ref_cmult(eng, src.slots, i, m)
+    assert type(acc) is SumVector
+    assert bits(acc.slots) == bits(want)
+
+
+@st.composite
+def run_values(draw, length):
+    """Run values, finite and non-zero but for an optional +-0.0, NaN or
+    infinity."""
+    values = draw(arrays(np.float64, length, elements=st.floats(-4.0, 4.0).filter(bool)
+                         | st.sampled_from([5e-324, -1e300])))
+    if length and draw(st.booleans()):
+        values[draw(st.integers(0, length - 1))] = draw(st.sampled_from(
+            [0.0, -0.0, float("nan"), float("inf"), -np.inf]))
+    return values
+
+
+@fp_warnings_ignored
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_touching_runs_concatenate_only_finite_non_zero_values(data):
+    """An add of two touching runs whose values are all finite and non-zero
+    concatenates them, in either operand order, as x + (+-0.0) is x; a
+    +-0.0, NaN or infinity among them, or a sub, spreads both over the
+    union as before.  Float and sign-bit zeros; type, support and bits
+    against the dense composition."""
+    from unittest import mock
+
+    from henn import engine
+
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([8, 16, 32]))
+    eng = lazy_engine(backend, size)
+    lo = data.draw(st.integers(0, size))
+    mid = data.draw(st.integers(lo, size))
+    hi = data.draw(st.integers(mid, size))
+    level = None if backend == "exact" else 20
+    runs = []
+    for start, stop in ((lo, mid), (mid, hi)):
+        values = data.draw(run_values(stop - start))
+        if data.draw(st.booleans()):
+            zero, k = data.draw(st.sampled_from([0.0, -0.0])), 0
+        else:
+            signs = data.draw(arrays(np.uint8, size, elements=st.integers(0, 1)))
+            zero, k = np.packbits(signs, bitorder="little"), data.draw(st.integers(0, size - 1))
+        runs.append(SparseVector(size, None, k, zero, slice(start, stop), values, 1, level,
+                                 next(eng._uid)))
+    a, b = runs if data.draw(st.booleans()) else runs[::-1]
+    op = data.draw(st.sampled_from(["add", "sub"]))
+    want = (np.add if op == "add" else np.subtract)(a.slots, b.slots)
+    a, b = (SparseVector(size, None, v.k, v.zero, v.support, v.values, 1, level,
+                         next(eng._uid)) for v in (a, b))       # unread twins
+    b = eng.rotate(b, 0)        # an unread rotation: a merge, not a pending sum
+    with mock.patch.object(engine, "_spread", wraps=engine._spread) as spread:
+        out = getattr(eng, op)(a, b)
+    joined = np.concatenate([runs[0].values, runs[1].values])
+    concatenated = op == "add" and bool(np.isfinite(joined).all() and joined.all())
+    assert type(out) is SparseVector and out.support.indices(size)[:2] == (lo, hi)
+    assert (spread.call_count == 0) == (concatenated or runs[0].support == runs[1].support)
+    assert bits(out.slots) == bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clear_bits_matches_the_unpacked_clear(data):
+    """``_clear_bits`` clears [start, stop) of packed bits, by whole bytes
+    when both ends are multiples of 8 and bit by bit otherwise."""
+    from henn.engine import _clear_bits
+
+    size = data.draw(st.sampled_from([8, 16, 64, 128]))
+    packed = data.draw(arrays(np.uint8, size // 8))
+    ends = st.integers(0, size) | st.integers(0, size // 8).map(lambda e: 8 * e)
+    start, stop = data.draw(ends), data.draw(ends)
+    want = np.unpackbits(packed, bitorder="little")
+    want[start:stop] = 0
+    got = packed.copy()
+    _clear_bits(got, start, stop)
+    assert got.tobytes() == np.packbits(want, bitorder="little").tobytes()
+
+
+@fp_warnings_ignored
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_block_sums_picked_from_the_reach_match_dense_composition(data):
+    """A slice cmult of an unread reach-built window picks from the reach and
+    leaves the window unread; with a +0.0 zero it sets the window's
+    ``_pattern`` from the reach, and the block sums inherit it when their
+    values are finite and keep the picks' sign bits: a negative or -0.0
+    mask value refuses, as does a non-finite product or reach.  One-hot
+    cmults of rotations of the block sums read their values.  Reaches that
+    wrap at slot 0, a -0.0 zero, strides of either sign; patterns against
+    those of the built slots, bits against the dense composition."""
+    backend = data.draw(st.sampled_from(["exact", "leveled"]))
+    size = data.draw(st.sampled_from([8, 16, 32, 64]))
+    eng = lazy_engine(backend, size)
+    window = 2 ** data.draw(st.integers(1, size.bit_length() - 3))
+    length = data.draw(st.integers(1, size - 2 * window + 1))
+    lo = data.draw(st.integers(0, size - length) | st.integers(0, min(window - 2, size - length)))
+    zero = data.draw(st.sampled_from([0.0, -0.0]))
+    values = data.draw(arrays(np.float64, length, elements=ELEMENTS["finite"]))
+    if data.draw(st.integers(0, 4)) == 0:
+        values[data.draw(st.integers(0, length - 1))] = data.draw(st.sampled_from(
+            [float("nan"), float("inf")]))
+    level = None if backend == "exact" else 20
+    v = SparseVector(size, None, 0, zero, slice(lo, lo + length), values, 1, level,
+                     next(eng._uid))
+    ref = v.slots.copy()
+    v = SparseVector(size, None, 0, zero, slice(lo, lo + length), values, 1, level,
+                     next(eng._uid))
+    step = 1
+    while step < window:
+        v, ref = eng.rotate_add(v, step), ref_rotate_add(ref, step)
+        step *= 2
+    stride = data.draw(st.sampled_from([1, 2, 3, window, -1, -window]))
+    start = data.draw(st.integers(0, size - 1))
+    index = slice(start, data.draw(st.integers(-1, size)) if stride > 0 else
+                  data.draw(st.sampled_from([None, -size - 1]) | st.integers(-1, start)), stride)
+    value = data.draw(st.sampled_from([1.0, 2.5, 1e300, -3.0, 0.0, -0.0]))
+    sums = eng.cmult(v, PlainMask.structured(size, index, value))
+    sums_ref = ref_cmult(eng, ref, index, value)
+    assert v._cache is None
+    window_pattern = getattr(v, "_pattern", False)
+    assert (window_pattern is False) == (zero != 0.0 or np.signbit(zero))
+    if window_pattern is not False:
+        assert same_pattern(window_pattern, dense_pattern(eng, ref))
+    picks = len(range(size)[index])
+    inherited = getattr(sums, "_pattern", False)
+    if inherited is not False:
+        assert same_pattern(inherited, dense_pattern(eng, sums_ref))
+    if picks and np.signbit(value):
+        assert inherited is False
+    if (window_pattern is not False and window_pattern is not None and not np.signbit(value)
+            and np.isfinite(sums_ref).all()):
+        assert inherited is not False
+    for _ in range(data.draw(st.integers(0, 3))):
+        k, i = data.draw(st.integers(-size, size)), data.draw(st.integers(0, size - 1))
+        placed = eng.cmult(eng.rotate(sums, k), one_hot_mask(eng, i))
+        assert bits(placed.slots) == bits(ref_cmult(eng, np.roll(sums_ref, -(k % size)), i, 1.0))
+    assert bits(sums.slots) == bits(sums_ref)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.01])
 def test_weight_update_runs_no_full_width_kernel(lam, monkeypatch):
     """Traffic guard: the weight update of a leveled step (desk scale:
@@ -1505,15 +1721,19 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     """Traffic guard: one leveled training step builds exactly these lazy
     vectors, so a fast path that silently falls back to a build shows here
     although its bits stay the same.  With n = 8 rows, m = 4 hidden units
-    and c = 3 classes: the block-start sums of the m + c result columns,
-    the activation-derivative grid and the error signal are slice cmults
-    whose slots one-hot cmults read (9); the first placement of each of the
-    two matmuls starts its accumulator (2); the m hidden columns' products
-    of the input block and a weight row, doubled to the row-sum window of
-    1 + d = 4 slots, are read by the block-start cmult (4), the c output
-    weight rows by the dense product with the hidden re-layout (3), and the
-    bias ones of that re-layout are its pending sum's base (1); the
-    rotations read are the shifted partial sums of the output matmul's
+    and c = 3 classes: the block-start sums of the c output columns, over
+    dense windows, are read for the pattern that their placements' pending
+    sum takes (3), and the activation-derivative grid and the error signal
+    are slice cmults whose slots the one-hot cmults of ``keep_only`` read
+    (2); the first placement of each of the two matmuls starts its
+    accumulator (2); the c output weight rows are read by the dense product
+    with the hidden re-layout (3), and the bias ones of that re-layout are
+    its pending sum's base (1).  The m hidden columns' products of the
+    input block and a weight row, doubled to the row-sum window of 1 + d =
+    4 slots, stay unread, and so do their block sums: the block-start cmult
+    picks from the window's reach, the block sums inherit the pattern it
+    sets, and the placements read their values.  The rotations read are
+    the shifted partial sums of the output matmul's
     windowed sums over 1 + m = 5 slots, one per column (3).  The pending
     sums built (9) are one per result column of the two matmuls (7), the
     hidden re-layout and the error signal.  The m + c gradient rows, their
@@ -1549,8 +1769,8 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     monkeypatch.setattr(RotatedVector, "_build", counted_rotation)
     monkeypatch.setattr(SumVector, "_build", counted_sum)
     trainer.iterate()
-    assert dict(built) == {"sparse pattern slice": 9, "sparse pattern one-hot": 2,
-                           "sparse float slice": 8, "rotation": 3, "sum": 9}
+    assert dict(built) == {"sparse pattern slice": 5, "sparse pattern one-hot": 2,
+                           "sparse float slice": 4, "rotation": 3, "sum": 9}
 
 
 def test_zscore_step_scans_each_input_row_once_and_keeps_its_products_sparse(monkeypatch):
@@ -1633,9 +1853,13 @@ def test_matmul_column_stays_on_the_tile_slots(backend, monkeypatch):
     """Traffic guard: at desk scale (4096 slots, a 16x8 tile times an 8x8
     transposed tile, uniform in [-1, 1]), a row cut from the transposed tile
     is a sign-bit run, so its replication over the row blocks merges runs,
-    the product multiplies two runs, and each block-sum window is built on
-    its reach: one vr_matmul runs no full-width rotate_add kernel and no
-    dense mult."""
+    the product multiplies two runs, each block-sum window stays unread
+    while the block-start cmult picks from its reach, and the placements
+    read the block sums' values and the pattern they inherit from the
+    reach: one vr_matmul runs no full-width rotate_add kernel and no dense
+    mult, builds no block-sum window or block-sum vector and scans the
+    pattern of no vector it makes."""
+    from henn import engine
     from henn.encoding import decode_matrix, encode_matrix
     from henn.linalg import vr_matmul
 
@@ -1644,8 +1868,10 @@ def test_matmul_column_stays_on_the_tile_slots(backend, monkeypatch):
     eng = lazy_engine(backend, 4096)
     a = encode_matrix(eng, A, Layout.FULL_MATRIX)
     b_t = encode_matrix(eng, B.T, Layout.FULL_MATRIX)
+    operands = max(a.parts[0].uid, b_t.parts[0].uid)
     calls = Counter()
     rotate_add, mult = _kernels.rotate_add, SlotEngine.mult
+    build, pattern = SparseVector._build, engine._pattern
 
     def counted_rotate_add(x, k):
         calls["full-width rotate_add"] += x.shape[0] == 4096
@@ -1656,8 +1882,20 @@ def test_matmul_column_stays_on_the_tile_slots(backend, monkeypatch):
         calls["dense mult"] += type(out) is SlotVector
         return out
 
+    def counted_build(v):
+        # the windows (window > 1) and the block sums (a strided slice)
+        calls["block-sum build"] += v.window > 1 or (
+            type(v.support) is slice and v.support.step not in (None, 1))
+        return build(v)
+
+    def counted_pattern(v):
+        calls["pattern scan"] += v.uid > operands and getattr(v, "_pattern", False) is False
+        return pattern(v)
+
     monkeypatch.setattr(_kernels, "rotate_add", counted_rotate_add)
     monkeypatch.setattr(SlotEngine, "mult", counted_mult)
+    monkeypatch.setattr(SparseVector, "_build", counted_build)
+    monkeypatch.setattr(engine, "_pattern", counted_pattern)
     product = vr_matmul(eng, a, b_t)
     assert sum(calls.values()) == 0, dict(calls)
     assert np.max(np.abs(decode_matrix(eng, product) - A @ B)) < 1e-6

@@ -457,7 +457,7 @@ def _in_support(slots: np.ndarray, support, size: int) -> np.ndarray:
 def _adds_plus(terms, minus, source, size: int) -> np.ndarray:
     """Whether each of the terms of a sum adds a +0.0 (a zero, not a value)
     at each of the sorted candidate slots minus: a bool array, one row per
-    term (see ``SumVector``); an int support is reduced, and size is none."""
+    term (see ``SumVector``); an int support is reduced modulo size (size: none)."""
     sub = np.array([t[0] is np.subtract for t in terms])
     if source is None:
         plus = np.zeros((len(terms), minus.size), dtype=bool)
@@ -876,10 +876,10 @@ class SlotEngine:
         lo, hi = min(alo, blo), max(ahi, bhi)
         if alo == blo and ahi == bhi:
             values = ufunc(av, bv)
-        elif (ufunc is np.add and (ahi == blo or bhi == alo)      # touching: x + (+-0.0)
+        elif (ufunc is np.add and (ahi == blo or bhi == alo)      # touching runs
               and np.isfinite(values := np.concatenate((av, bv) if ahi == blo else (bv, av))).all()
-              and values.all()):                                # is x for finite x != 0
-            pass
+              and values.all()):
+            pass        # x + (+-0.0) is x for a finite non-zero x
         else:
             values = _spread(ra, lo, hi, size)
             ufunc(values, _spread(rb, lo, hi, size), out=values)
@@ -1032,7 +1032,7 @@ class SlotEngine:
                 src, k = rot_src, a.k
             if type(index) is int:
                 at = (index + k) % size
-                if (type(src) is SparseVector and src is not a and src._cache is None
+                if (src is not a and type(src) is SparseVector and src._cache is None
                         and src.window == 1 and type(on := src.support) is slice):
                     # an unread vector's value on its support
                     lo, _, stride = on.indices(size)

@@ -24,14 +24,16 @@ hold what defines their slots instead of the slots themselves:
   and the shift.
 * sparse (``SparseVector``): ``values`` on a ``support`` (an int, a slice or
   an index array) and signed zeros elsewhere, then the ``rotate_add``
-  doublings up to a ``window``.  The zeros are one float ``zero``, or the
-  zero pattern ``src.slots * 0.0`` rotated by ``k``, which is bit for bit
-  ``rotate(src, k) * 0.0`` since the product is slotwise, or, with no
-  ``src``, sign bits held as ``zero`` and rotated by ``k`` (what a merge of
-  runs leaves, below).  ``_pattern`` caches the pattern of a finite source
-  on it in its smallest exact form, so the n placements of one source that
-  a pending sum adds share it: the float +0.0 when no slot has its sign bit
-  set, else the sign bits, eight to a byte.  ``encrypt`` gives one of its
+  doublings up to a ``window``.  The zeros have one of two forms: one float
+  ``zero``, or sign bits held as ``zero`` and read at the shift ``k`` (-0.0
+  where bit (j + k) % size is set).  A structured ``cmult`` of a source
+  ``src`` rotated by k stores the zero pattern ``src.slots * 0.0`` read at
+  shift k, which is bit for bit ``rotate(src, k) * 0.0`` since the product
+  is slotwise, and keeps no reference to ``src``.  ``_pattern`` caches that
+  pattern on the source in its smallest exact form, so the n placements of
+  one source share it: the float +0.0 when no slot has its sign bit set,
+  else the sign bits, eight to a byte (4 KB at 32768 slots).  A merge of
+  runs (below) leaves sign bits of its own.  ``encrypt`` gives one of its
   values on the first slots and +0.0 elsewhere, so encrypting a short
   vector allocates no slots.  A slice run (``_run``: window 1, a step-1
   slice, a finite zero, that is a float +-0.0 or sign bits, or an unread
@@ -80,13 +82,18 @@ the dense kernel.
   its picked slots from the operand, or from an unread rotation's source at
   ``(index + k) % size`` (a slice of it when no picked slot wraps; the
   kernel copies the picks, so no view pins the source), and gives a
-  window-1 sparse vector over that vector's pattern: the dense product's
-  slots at the mask's +0.0 slots, NaN included; a run that is no rotation,
-  by a mask on its own slice, gives a run of its values times the mask and
-  its own zero, as a signed zero times +0.0 keeps its sign; an unread
-  window built on its reach (below) gives its picks from the reach alone,
-  and with a +0.0 zero its ``_pattern`` from the reach, which the block
-  sums inherit when their values are finite and keep the picks' sign bits.
+  window-1 sparse vector whose zero is that vector's pattern: the dense
+  product's slots at the mask's +0.0 slots.  A vector with a NaN or an
+  infinity has no pattern, and its product is the dense one, the same
+  bits: the dense kernel computes x * 0.0 at the mask's +0.0 slots and
+  x * q at the picked ones, then rescales.  A run that is no rotation, by
+  a mask on its own slice, gives a run of its values times the mask and
+  its own zero, as a signed zero times +0.0 keeps its sign.  An unread
+  window built on its reach (below) gives its picks and its ``_pattern``
+  (the float zero off the reach, the reach's sign bits on it) from the
+  reach alone, so the window is read only for a reach with a NaN or an
+  infinity; the block sums inherit that pattern when their values are
+  finite and keep the picks' sign bits.
   A one-hot product is one call of a scalar kernel, and reads a slot on
   the support of an unread window-1 sparse source from its ``values``.
 * ``rotate`` gives a rotation.
@@ -106,8 +113,7 @@ the dense kernel.
 ``add``/``sub`` with an unread window-1 sparse right operand give a pending
 sum: the placements of the forward matmuls (``linalg``) and of the hidden
 re-layout in ``enc_train``.  Its terms have finite zeros only: a float
-+-0.0, or the pattern of a finite source.  A term whose zero holds a NaN or
-an infinity (a source with one, or the float zero ``t * 0.0`` of a
++-0.0, or sign bits.  A term whose float zero is NaN (``t * 0.0`` of a
 non-finite t) takes the dense add, the reference that the pass below
 matches; no CKKS ciphertext holds such a slot.  Adding a term to an unread
 pending sum gives a longer one, which shares the shorter one's immutable
@@ -124,11 +130,11 @@ the chain once and builds the sum in one pass:
    Adding a signed zero therefore commutes with every other addition, and
    only a -0.0 slot of the base can change: it stays -0.0 only while every
    term has -0.0 there.  A term's support slots count as -0.0 here, since
-   they take a value, not a zero; a zero slot j of a pattern term has the
-   sign bit of ``src`` at ``(j + k) % size``.  The candidates, the -0.0
-   slots of the base, are resolved against all terms at once, one row per
-   term, but one per group of one-slot terms with one operation, shift
-   and zero object, whose zeros agree: it skips its slot only when every
+   they take a value, not a zero; a zero slot j of a term with sign bits
+   has the bit at ``(j + k) % size``.  The candidates, the -0.0 slots of
+   the base, are resolved against all terms at once, one row per term,
+   but one per group of one-slot terms with one operation, shift and zero
+   object, whose zeros agree: it skips its slot only when every
    term of the group takes that slot.  The rows go in blocks that keep
    the candidates x rows arrays near ``_BLOCK`` entries, and a block drops
    the candidates it clears;
@@ -138,25 +144,22 @@ the chain once and builds the sum in one pass:
    distinct and the operation is one, that is one indexed array operation,
    which applies the same IEEE operation to each slot.
 
-A pending sum holds terms over one source, or float zeros only: a term over
-another source builds the sum first and starts a new one on it.  A term
-over a source whose pattern is +0.0 is a float-zero term.  Of a source the
-sum keeps only the sign bits (4 KB at 32768 slots), and of a term only its
+A pending sum holds terms whose zeros are one array of sign bits (its
+``source``), or float zeros only: a term with other bits builds the sum
+first and starts a new one on it.  Of a term the sum keeps only its zero,
 values and support, so an unread sum pins no full-width vector besides its
 base, not a matmul column's block sums.
 
 Each lazy form has one ``_build``, which replays the dense composition into
-a fresh array and clears nothing; a sparse vector over a source whose
-``_pattern`` is cached reads its zeros from that.  A sparse vector of
-window w over a step-1 slice [lo, hi) with a float +-0.0 zero builds its
-reach [lo - w + 1, hi) alone (``_reach``; it may wrap at slot 0): the same
-doublings on that short array,
-where the partners past hi read the zero, which is what they hold there,
-and every other slot holds the sum of w zeros, the zero.  That needs the
-partners past hi to miss [lo, hi), so a reach that w more slots would take
-past the slot count runs the full-width doublings instead.  Reading
-``slots`` caches the read-only build on the vector and returns it, so both
-paths give the same bits;
+a fresh array and clears nothing.  A sparse vector of window w over a
+step-1 slice [lo, hi) with a float +-0.0 zero builds its reach
+[lo - w + 1, hi) alone (``_reach``; it may wrap at slot 0): the same
+doublings on that short array, where the partners past hi read the zero,
+which is what they hold there, and every other slot holds the sum of w
+zeros, the zero.  That needs the partners past hi to miss [lo, hi), so a
+reach that w more slots would take past the slot count runs the
+full-width doublings instead.  Reading ``slots`` caches the read-only
+build on the vector and returns it, so both paths give the same bits;
 ``_drop`` then releases the build's inputs: a rotation's source, a pending
 sum's base and terms.  ``decrypt`` and a pending sum's base are owner builds
 (``_owned``): an unread lazy vector's ``_build``, which the caller owns, with
@@ -314,17 +317,15 @@ class RotatedVector(_LazyVector):
 
 class SparseVector(_LazyVector):
     """``values`` on the slots ``support`` (an int, a slice or an index
-    array) and, on every other slot, the zero pattern ``src.slots * 0.0``
-    rotated by ``k``, or when ``src`` is None the float ``zero`` or, for
-    packed sign bits ``zero``, -0.0 where bit (j + k) % size is set and +0.0
-    elsewhere; then the ``rotate_add`` doublings by 1, 2, ... up to
-    ``window``/2 (window 1: none)."""
+    array) and, on every other slot, the float ``zero`` or, for packed sign
+    bits ``zero``, -0.0 where bit (j + k) % size is set and +0.0 elsewhere;
+    then the ``rotate_add`` doublings by 1, 2, ... up to ``window``/2
+    (window 1: none)."""
 
-    __slots__ = ("src", "k", "zero", "support", "values", "window")
+    __slots__ = ("k", "zero", "support", "values", "window")
 
-    def __init__(self, size, src, k, zero, support, values, window, level, uid):
+    def __init__(self, size, k, zero, support, values, window, level, uid):
         self.size = size
-        self.src = src
         self.k = k
         self.zero = zero
         self.support = support
@@ -335,22 +336,15 @@ class SparseVector(_LazyVector):
         self._cache = None
 
     def _build(self):
-        size, src, zero = self.size, self.src, self.zero
-        if src is not None and getattr(src, "_pattern", None) is not None:
-            src, zero = None, src._pattern      # the cached pattern: +0.0 or sign bits
-        if src is None and type(zero) is np.ndarray:
+        size, zero = self.size, self.zero
+        if type(zero) is np.ndarray:
             signs = np.unpackbits(zero, count=size, bitorder="little")
             out = np.where(np.concatenate((signs[self.k:], signs[:self.k])), -0.0, 0.0)
-        elif src is None:
+        else:
             # np.zeros leaves the pages that no value reaches unmapped
             out = np.zeros(size) if _is_plus(zero) else np.full(size, zero)
             if (reach := _reach(self)) is not None:
                 return _put_reach(out, *reach)
-        elif self.k:
-            out = _kernels.rotate(src.slots, self.k)
-            out *= 0.0
-        else:
-            out = src.slots * 0.0
         out[self.support] = self.values
         step = 1
         while step < self.window:
@@ -363,10 +357,9 @@ class SumVector(_LazyVector):
     """``base`` plus window-1 sparse terms with finite zeros, in order, each
     an add or a sub; reading the slots builds them in one pass (``_build``)
     and drops what they were built from.  A term is ``(ufunc, scalar_op, k,
-    zero, support, values)``: a sparse vector's fields, with its float zero
-    or its source's zero pattern (``_pattern``) as ``zero``.  The terms have
-    one ``source``: that pattern's packed sign bits, or None when every term
-    has a float zero."""
+    zero, support, values)``: a sparse vector's fields.  The terms have one
+    ``source``: their zero's packed sign bits, or None when every term has a
+    float zero."""
 
     # _pending: (base, chain, source) until built, then None; a chain is (the
     # earlier terms' chain or None, the last term), shared by longer sums
@@ -589,15 +582,15 @@ def _support(v: SlotVector):
 def _run(v: SlotVector, k: int = 0):
     """``rotate(v, k)`` as a slice run ``(lo, hi, zero, shift, values)``, or
     None.  v is a window-1 sparse vector over a step-1 slice whose zero is a
-    float +-0.0 or the packed sign bits of a finite source, or an unread
-    rotation of one; the zero of slot j is then the float, or -0.0 where bit
-    (j + shift) % size is set."""
+    float +-0.0 or packed sign bits, or an unread rotation of one; the zero
+    of slot j is then the float, or -0.0 where bit (j + shift) % size is
+    set."""
     if type(v) is RotatedVector:
         k, v = k + v.k, v.src
     if type(v) is not SparseVector or v.window != 1 or type(v.support) is not slice:
         return None
-    zero = v.zero if v.src is None else _pattern(v.src)
-    if zero is None or (type(zero) is not np.ndarray and zero != 0.0):   # NaN or inf
+    zero = v.zero
+    if type(zero) is not np.ndarray and zero != 0.0:   # NaN or inf
         return None
     size = v.size
     lo, hi, step = v.support.indices(size)
@@ -614,8 +607,7 @@ def _reach(v: SparseVector):
     sparse v of window w > 1 over a step-1 slice with a float +-0.0 zero, on
     its reach, where the rule holds (see the module docstring); else None."""
     zero, window, size = v.zero, v.window, v.size
-    if (v.src is not None or window == 1 or type(zero) is np.ndarray or zero != 0.0
-            or type(v.support) is not slice):
+    if window == 1 or type(zero) is np.ndarray or zero != 0.0 or type(v.support) is not slice:
         return None
     lo, hi, stride = v.support.indices(size)
     lo -= window - 1
@@ -641,15 +633,16 @@ def _put_reach(out: np.ndarray, lo: int, reach: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reach_pattern(lo: int, reach: np.ndarray, size: int):
+def _reach_pattern(lo: int, reach: np.ndarray, zero: float, size: int):
     """``_pattern`` of a vector that holds reach from slot lo (as in
-    ``_reach``) and +0.0 elsewhere, from the reach alone."""
+    ``_reach``) and the float +-0.0 zero elsewhere, from the reach alone."""
     if not np.isfinite(reach).all():
         return None
     signs = np.signbit(reach)
-    if not signs.any():
+    minus = not _is_plus(zero)
+    if not (minus or signs.any()):
         return 0.0
-    bits = np.packbits(_put_reach(np.zeros(size, dtype=bool), lo, signs), bitorder="little")
+    bits = np.packbits(_put_reach(np.full(size, minus), lo, signs), bitorder="little")
     bits.flags.writeable = False
     return bits
 
@@ -828,7 +821,7 @@ class SlotEngine:
         if self._leveled:
             values = _kernels.quantize(values, self._scale)
         level = self.config.level_budget if self._leveled else None
-        sv = SparseVector(self.config.slots, None, 0, 0.0, slice(0, values.shape[0]), values, 1,
+        sv = SparseVector(self.config.slots, 0, 0.0, slice(0, values.shape[0]), values, 1,
                           level, next(self._uid))
         if self.trace is not None:
             self.trace.record("encrypt", (), sv.uid, 0, level)
@@ -850,15 +843,13 @@ class SlotEngine:
     def _uniform(self, value: float, size: int, level) -> UniformVector:
         return UniformVector(size, value, level, next(self._uid))
 
-    def _sparse_vector(self, src, k, zero, support, values, window, size, level) -> SlotVector:
+    def _sparse_vector(self, k, zero, support, values, window, size, level) -> SlotVector:
         """A sparse vector whose window covers every slot, or its one value as
         a uniform vector when that is exact (see the module docstring)."""
         if (type(support) is int and values != 0.0 and math.isfinite(values)
-                and (_pattern(src) is not None if src is not None
-                     else type(zero) is np.ndarray or math.isfinite(zero))):
+                and (type(zero) is np.ndarray or math.isfinite(zero))):
             return self._uniform(values, size, level)
-        return SparseVector(size, src, k, zero, support, values, window, level,
-                            next(self._uid))
+        return SparseVector(size, k, zero, support, values, window, level, next(self._uid))
 
     def _product(self, x, y):
         """x * y slotwise, rescaled on the leveled backend; y is an array and
@@ -887,8 +878,7 @@ class SlotEngine:
             zero, k = scalar_op(az, bz), 0
         else:
             zero, k = _union_zero(ufunc is np.subtract, ra, rb, lo, hi, size)
-        return SparseVector(size, None, k, zero, slice(lo, hi), values, 1, level,
-                            next(self._uid))
+        return SparseVector(size, k, zero, slice(lo, hi), values, 1, level, next(self._uid))
 
     # --- operations ---------------------------------------------------------
     # (order of dispatch: module docstring; a level is None on the exact backend)
@@ -905,13 +895,13 @@ class SlotEngine:
         tb = type(b)
         if tb is UniformVector and type(a) is UniformVector:
             sv = UniformVector(size, scalar_op(a.value, b.value), level, next(self._uid))
-        elif (tb is SparseVector and type(a) is SparseVector and a.src is None is b.src
+        elif (tb is SparseVector and type(a) is SparseVector
               and type(sa := a.support) is slice is type(b.support) and sa == b.support
               and sa.step in (None, 1) and a.window == 1 == b.window
               and type(a.zero) is not np.ndarray is not type(b.zero)      # not sign bits
               and a.zero == 0.0 == b.zero):
             # two runs on one slice, tested inline (the gradient sums): see _run
-            sv = SparseVector(size, None, 0, scalar_op(a.zero, b.zero), a.support,
+            sv = SparseVector(size, 0, scalar_op(a.zero, b.zero), a.support,
                               ufunc(a.values, b.values), 1, level, next(self._uid))
         elif (type(a) is not SumVector and (tb is SparseVector or tb is RotatedVector)
               and (ra := _run(a)) is not None and (rb := _run(b)) is not None
@@ -920,22 +910,21 @@ class SlotEngine:
               and (sv := self._merge(ufunc, scalar_op, ra, rb, size, level)) is not None):
             pass
         elif (tb is SparseVector and b._cache is None and b.window == 1
-              and (type(zero := b.zero if b.src is None else _pattern(b.src)) is np.ndarray
-                   or zero == 0.0)):    # a finite zero: a float is +-0.0 or NaN
-            sv = self._pending_sum(a, ufunc, scalar_op, b, zero, level)
+              and (type(b.zero) is np.ndarray or b.zero == 0.0)):  # finite: a float is +-0.0 or NaN
+            sv = self._pending_sum(a, ufunc, scalar_op, b, level)
         else:
             sv = self._new(ufunc(a.slots, b.slots), level)
         if self.trace is not None:
             self.trace.record(op, (a.uid, b.uid), sv.uid, 0, level)
         return sv
 
-    def _pending_sum(self, a: SlotVector, ufunc, scalar_op, b: SparseVector, zero,
+    def _pending_sum(self, a: SlotVector, ufunc, scalar_op, b: SparseVector,
                      level) -> SumVector:
-        """a plus the window-1 sparse b as a term, unbuilt; zero is b's float
-        zero or its source's pattern (``_pattern``), finite.  An unread sum
-        whose source (a sign-bit pattern, or None for float zeros and +0.0
-        patterns) is the term's takes the term as one more; any other a, an
+        """a plus the window-1 sparse b, whose zero is finite, as a term,
+        unbuilt.  An unread sum whose source (sign bits, or None for float
+        zeros) is the term's takes the term as one more; any other a, an
         unread sum built first, is the base of a new sum."""
+        zero = b.zero
         source = zero if type(zero) is np.ndarray else None
         term = (ufunc, scalar_op, b.k, zero, b.support, b.values)
         base, chain = a, None
@@ -978,10 +967,9 @@ class SlotEngine:
                 sv = UniformVector(size, value, level, next(self._uid))
             else:
                 support = None
-                if tb is SparseVector and b.window == 1:
-                    zero = b.zero if b.src is None else _pattern(b.src)
-                    if type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) > 0:
-                        support, values = b.support, b.values
+                if (tb is SparseVector and b.window == 1 and type(zero := b.zero) is float
+                        and zero == 0.0 and math.copysign(1.0, zero) > 0):
+                    support, values = b.support, b.values
                 if support is None and (support := _support(b)) is not None:
                     values = b.slots[support]
                 if support is None:
@@ -993,12 +981,11 @@ class SlotEngine:
                         values = _kernels.mult_rescale_float(t, values, self._scale)
                     else:
                         values = _kernels.mult_rescale(t, values, self._scale)
-                    sv = SparseVector(size, None, 0, t * 0.0, support, values, 1, level,
-                                      next(self._uid))
+                    sv = SparseVector(size, 0, t * 0.0, support, values, 1, level, next(self._uid))
         elif ((ra := _run(a)) is not None and (rb := _run(b)) is not None
               and ra[:2] == rb[:2] and type(ra[2]) is not np.ndarray is not type(rb[2])
               and _is_plus(ra[2]) and _is_plus(rb[2])):
-            sv = SparseVector(size, None, 0, 0.0, slice(ra[0], ra[1]),
+            sv = SparseVector(size, 0, 0.0, slice(ra[0], ra[1]),
                               self._product(ra[4], rb[4]), 1, level, next(self._uid))
         else:
             sv = self._new(self._product(a.slots, b.slots), level)
@@ -1012,7 +999,9 @@ class SlotEngine:
         On the leveled backend the mask is quantized first: the dense slots,
         or the structured mask's one value.  A structured mask gives a sparse
         vector of window 1: the (rescaled) products at its index, and
-        ``a * 0.0`` elsewhere, read from an unread rotation's source.
+        ``a * 0.0`` elsewhere, held as the pattern of a or of an unread
+        rotation's source; a source with a NaN or an infinity gives the
+        dense product.
         """
         size = a.size
         if m.size != size:
@@ -1022,12 +1011,9 @@ class SlotEngine:
             if level < 1:
                 raise DepthExhausted(f"cmult: operand at level 0 (budget {self.config.level_budget})")
             level -= 1
-        index = m.index
-        if index is None:
-            mq = _kernels.quantize(m.slots, self._scale) if level is not None else m.slots
-            sv = self._new(self._product(a.slots, mq), level)
-        else:
-            src, k, zero, pattern = a, 0, None, None
+        index, zero = m.index, None
+        if index is not None:
+            src, k, pattern = a, 0, None
             if type(a) is RotatedVector and (rot_src := a.src) is not None:
                 src, k = rot_src, a.k
             if type(index) is int:
@@ -1049,15 +1035,14 @@ class SlotEngine:
                 if (step == 1 and src is a    # no run test for a rotation (the row cuts)
                         and (run := _run(a)) is not None and run[:2] == (start, stop)):
                     # a signed zero times the mask's +0.0 keeps its sign
-                    src, zero, k, picked = None, run[2], run[3], run[4]
+                    zero, k, picked = run[2], run[3], run[4]
                 elif (src is a and type(a) is SparseVector and a._cache is None
                       and (reach := _reach(a)) is not None):
                     lo, reach = reach
                     at = (np.arange(start, stop, step) - lo) % size
                     picked = np.where(at < reach.shape[0],
                                       reach[np.minimum(at, reach.shape[0] - 1)], a.zero)
-                    if _is_plus(a.zero):
-                        pattern = a._pattern = _reach_pattern(lo, reach, size)
+                    zero = pattern = a._pattern = _reach_pattern(lo, reach, a.zero, size)
                 elif step > 0 and stop + k <= size:      # no wrap: a view, read once below
                     picked = src.slots[start + k:stop + k:step]
                 else:
@@ -1065,10 +1050,15 @@ class SlotEngine:
                 # the kernels write a fresh array: a stored view would pin src's slots
                 value = (picked * m.value if level is None else _kernels.mult_rescale(
                     picked, _kernels.quantize_float(m.value, self._scale), self._scale))
-            if size == 1:
-                sv = self._sparse_vector(src, k, zero, index, value, 1, size, level)
-            else:
-                sv = SparseVector(size, src, k, zero, index, value, 1, level, next(self._uid))
+            if zero is None:
+                zero = _pattern(src)
+        if zero is None:        # a dense mask, or a source with a NaN or an infinity
+            mq = _kernels.quantize(m.slots, self._scale) if level is not None else m.slots
+            sv = self._new(self._product(a.slots, mq), level)
+        elif size == 1:
+            sv = self._sparse_vector(k, zero, index, value, 1, size, level)
+        else:
+            sv = SparseVector(size, k, zero, index, value, 1, level, next(self._uid))
             if (pattern is not None and np.isfinite(value).all()
                     and np.array_equal(np.signbit(value), np.signbit(picked))):
                 sv._pattern = pattern       # the picks keep their sign bits
@@ -1096,12 +1086,10 @@ class SlotEngine:
         if type(a) is SparseVector and k == a.window:
             window = k + k
             if window == size:
-                sv = self._sparse_vector(a.src, a.k, a.zero, a.support, a.values, window, size,
-                                         a.level)
+                sv = self._sparse_vector(a.k, a.zero, a.support, a.values, window, size, a.level)
             else:   # a's fields set on a bare instance, cheaper than by __init__
                 sv = _new_instance(SparseVector)
                 sv.size = size
-                sv.src = a.src
                 sv.k = a.k
                 sv.zero = a.zero
                 sv.support = a.support

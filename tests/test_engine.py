@@ -1,5 +1,7 @@
 """Slot engine contract: algebra, levels, purity, trace."""
 
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -360,6 +362,17 @@ def ref_rotate_add(x, k):
     return x + np.roll(x, -k)
 
 
+def zero_form(v):
+    """The form of a sparse vector's zero: "float", or "bits" for packed sign
+    bits, one per slot; None for anything else."""
+    if type(v.zero) is float:
+        return "float"
+    if (type(v.zero) is np.ndarray and v.zero.dtype == np.uint8
+            and v.zero.shape == ((v.size + 7) // 8,)):
+        return "bits"
+    return None
+
+
 @st.composite
 def source(draw):
     """(engine, encrypted source vector, a slot index)."""
@@ -655,8 +668,10 @@ def test_one_hot_cmult_of_rotation_matches_dense(case, data):
 @given(st.data())
 def test_slice_cmult_of_rotation_matches_dense(data):
     """cmult of an unread rotation by a slice mask is sparse, read from the
-    source unbuilt; the result, its uses in mult, add and sub, and the
-    result and the rotation read afterwards are the dense ones."""
+    source unbuilt, with the source's pattern as its zero; of a source with
+    a NaN or an infinity it is the dense product.  The result, its uses in
+    mult, add and sub, and the result and the rotation read afterwards are
+    the dense ones."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([8, 16, 32, 64]))
     eng = lazy_engine(backend, size)
@@ -685,7 +700,10 @@ def test_slice_cmult_of_rotation_matches_dense(data):
     for op, ref in cases:
         r = eng.rotate(a, k)
         p = eng.cmult(r, mask)
-        assert type(p) is SparseVector
+        if np.isfinite(a.slots).all():
+            assert type(p) is SparseVector and p.zero is _pattern(a)
+        else:
+            assert type(p) is SlotVector
         assert bits(op(p).slots) == bits(ref(want))
         assert bits(p.slots) == bits(want)
         assert bits(r.slots) == bits(rolled)
@@ -698,19 +716,20 @@ def test_slice_cmult_of_rotation_matches_dense(data):
 def test_slice_cmult_reads_a_window_that_does_not_wrap_as_a_slice(backend, step, shift):
     """cmult of a rotation by k with a slice mask reads src[start+k:stop+k:step]
     when no picked slot wraps (k <= size - stop) and the wrapped indices
-    otherwise; both give the dense composition's bits, and the sparse
-    vector's values are a fresh array, never a view that would pin the
-    source's slots."""
+    otherwise; both give the dense composition's bits, the sparse vector's
+    zero is the source's sign bits, and its values are a fresh array, never
+    a view that would pin the source's slots."""
     size, start, stop = 64, 5, 21
     k = {"0": 0, "1": 1, "size-stop": size - stop, "size-stop+1": size - stop + 1,
          "size-1": size - 1}[shift]
     eng = lazy_engine(backend, size)
     vals = np.linspace(-2.0, 2.0, size)
-    vals[[6, 9, 30, 47, 63]] = [-0.0, np.nan, np.inf, -np.inf, 0.0]
+    vals[[6, 9, 63]] = [-0.0, 5e-324, 0.0]
     src = eng.encrypt(vals)
     index = slice(start, stop, step)
     p = eng.cmult(eng.rotate(src, k), PlainMask.structured(size, index, 2.5))
-    assert type(p) is SparseVector and p.src is src and p.k == k
+    assert type(p) is SparseVector and p.zero is _pattern(src) and p.k == k
+    assert zero_form(p) == "bits"
     assert not np.shares_memory(p.values, src.slots)
     assert bits(p.slots) == bits(ref_cmult(eng, np.roll(src.slots, -k), index, 2.5))
 
@@ -791,7 +810,7 @@ def test_lazy_fast_paths_build_no_slots(backend):
         r = eng.rotate(sums, k)
         f = eng.cmult(r, one_hot_mask(eng, 7))
         acc = eng.add(acc, f)
-        assert type(f) is SparseVector and f._cache is None
+        assert type(f) is SparseVector and f._cache is None and f.zero is sums._pattern
         assert r._cache is None and r.src is sums
         assert type(acc) is SumVector and acc._cache is None
     acc.slots
@@ -802,10 +821,35 @@ def test_lazy_fast_paths_build_no_slots(backend):
     xm = eng.encrypt(np.linspace(0.0, 1.0, 4096))
     r = eng.rotate(xm, 10)
     row = eng.cmult(r, segment_mask(eng, 0, 5))
-    assert type(row) is SparseVector and r.src is xm
+    assert type(row) is SparseVector and r.src is xm and zero_form(row) == "float"
     eng.add(d, row)
     eng.add(d, eng.mult(u, row))
     assert row._cache is None and r._cache is None and u._cache is None
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_held_one_hot_product_pins_no_source(signed):
+    """Memory guard: a one-hot cmult product of a finite 32768-slot source
+    keeps its zero, the float +0.0 or the source's 4 KB of sign bits, and
+    its value, not the source: once the source is deleted, at most 4 KB plus
+    the product's values stays held (1 KB more covers the object headers),
+    where the source's slots alone are 256 KB."""
+    size = 32768
+    eng = lazy_engine("leveled", size)
+    vals = np.linspace(-1.0 if signed else 0.0, 1.0, size)
+    mask = one_hot_mask(eng, 5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        src = eng.encrypt(vals)
+        held = eng.cmult(src, mask)
+        del src
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= size // 8 + np.asarray(held.values).nbytes + 1024
+    assert zero_form(held) == ("bits" if signed else "float")
 
 
 @fp_warnings_ignored
@@ -841,7 +885,7 @@ def test_decrypt_of_an_unread_lazy_vector_fills_no_cache(backend):
 
 
 def test_lazy_forms_keep_the_trace():
-    """A flood that turns uniform and one that stays sparse (NaN in its
+    """A flood that turns uniform and one that stays dense (NaN in its
     source) record the same ops, uids and levels."""
     entries = []
     for poison in (False, True):
@@ -887,11 +931,11 @@ def test_pattern_is_the_zero_pattern_in_its_smallest_form(data):
 @pytest.mark.parametrize("backend", ["exact", "leveled"])
 def test_term_with_a_non_finite_zero_takes_the_dense_add(backend):
     """Pending sums hold finite zeros only.  A window-1 sparse term whose
-    zeros hold NaN, a one-hot cmult of a rotation of a source with a NaN or
-    a uniform inf times a row (its float zero inf * 0.0 is NaN), added to or
-    subtracted from a pending sum gives a dense vector with the bits of the
-    dense composition; the next finite term starts a new pending sum on
-    it."""
+    zero is NaN (a uniform inf times a row: its float zero inf * 0.0 is
+    NaN), or a one-hot cmult of a rotation of a source with a NaN, which is
+    the dense product, added to or subtracted from a pending sum gives a
+    dense vector with the bits of the dense composition; the next finite
+    term starts a new pending sum on it."""
     size = 16
     eng = lazy_engine(backend, size)
     level = eng.config.level_budget if backend == "leveled" else None
@@ -908,16 +952,16 @@ def test_term_with_a_non_finite_zero_takes_the_dense_add(backend):
 
     terms = [
         (lambda: eng.cmult(eng.rotate(nan_src, 3), one_hot_mask(eng, 7)),
-         ref_keep(eng, np.roll(nan_src.slots, -3), 7)),
+         ref_keep(eng, np.roll(nan_src.slots, -3), 7), SlotVector),
         (lambda: eng.mult(eng._uniform(float("inf"), size, level), row),
-         ref_mul(eng, np.full(size, float("inf")), row.slots)),
+         ref_mul(eng, np.full(size, float("inf")), row.slots), SparseVector),
     ]
-    for term, term_want in terms:
+    for term, term_want, form in terms:
         for op, ufunc in ((eng.add, np.add), (eng.sub, np.subtract)):
             acc = eng.add(base, place())
             assert type(acc) is SumVector
             t = term()
-            assert type(t) is SparseVector
+            assert type(t) is form
             out = op(acc, t)
             want = ufunc(base.slots + placed, term_want)
             assert type(out) is SlotVector and bits(out.slots) == bits(want)
@@ -952,12 +996,13 @@ def ref_cmult(eng, x, index, value):
 @given(st.data())
 def test_structured_cmult_of_dense_source_matches_dense(data):
     """cmult of an unrotated source by a one-hot or slice mask is sparse
-    over the source's own zero pattern, whose -0.0, NaN and infinities come
-    from the source; a step-1 slice mask over every slot, which is the
+    with the source's pattern (``_pattern``: +0.0, or its sign bits for its
+    -0.0 slots) as its zero, and of a source with a NaN or an infinity it is
+    the dense product; a step-1 slice mask over every slot, which is the
     source's own run (``_run``: encrypt fills every slot here), multiplies
-    the run's values only, with a float zero.  add and sub consume it
-    unread, it is read before the op, after it or never, and its rotate_add
-    doublings (roll_fill) match the dense composition too."""
+    the run's values only, with the run's float zero.  add and sub consume
+    it unread, it is read before the op, after it or never, and its
+    rotate_add doublings (roll_fill) match the dense composition too."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     eng = lazy_engine(backend, size)
@@ -975,7 +1020,12 @@ def test_structured_cmult_of_dense_source_matches_dense(data):
     for op, ref in ((eng.add, d.slots + want), (eng.sub, d.slots - want)):
         p = eng.cmult(a, mask)
         own_run = type(index) is slice and index.indices(size) == (0, size, 1)
-        assert type(p) is SparseVector and p.src is (None if own_run else a) and p.k == 0
+        if own_run:
+            assert type(p) is SparseVector and p.zero is a.zero and p.k == 0
+        elif np.isfinite(a.slots).all():
+            assert type(p) is SparseVector and p.zero is _pattern(a) and p.k == 0
+        else:
+            assert type(p) is SlotVector
         if read == "before":
             assert bits(p.slots) == bits(want)
         assert bits(op(d, p).slots) == bits(ref)
@@ -997,10 +1047,10 @@ def test_uniform_times_structured_cmult_matches_dense(data):
     """mult(uniform t, cmult(rotate(a, k), one-hot or slice mask)) on both
     backends.  The cmult's zeros are +0.0 when every slot of a is finite
     with a clear sign bit, and mult then takes its support unbuilt; a
-    negative, -0.0 or non-finite slot of a puts -0.0 or NaN into the zero
-    pattern, and mult scans the operand or takes the dense kernel.  Either
-    way the product, its use in add, and the cmult read afterwards are the
-    dense ones."""
+    negative or -0.0 slot of a puts -0.0 into them, and a non-finite one
+    makes the cmult the dense product: mult scans the operand or takes the
+    dense kernel.  Either way the product, its use in add, and the cmult
+    read afterwards are the dense ones."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([8, 16, 32, 64]))
     eng = lazy_engine(backend, size)
@@ -1189,7 +1239,7 @@ def slice_run(draw, eng, lo, hi):
     if "zero" in form:
         zero = {"+0.0 zero": 0.0, "-0.0 zero": -0.0, "NaN zero": float("nan")}[form]
         values = draw(arrays(np.float64, hi - lo, elements=ELEMENTS["any"]))
-        return SparseVector(size, None, 0, zero, slice(lo, hi), values, 1, level,
+        return SparseVector(size, 0, zero, slice(lo, hi), values, 1, level,
                             next(eng._uid)), form
     src = draw(arrays(np.float64, size, elements=st.floats(0.0, 4.0)))
     if form == "sign-bit pattern":
@@ -1232,7 +1282,8 @@ def test_slice_run_rules_match_dense_composition(data):
     """add and sub of two slice runs (``_run``) whose union is one run give a
     run over the union, as does rotate_add of a run and its rotated copy;
     a structured cmult by a mask on a run's own slice multiplies its values
-    only, unless the run is a rotation, whose picks come from its source.
+    only and keeps the run's zero, unless the run is a rotation, whose
+    picks come from its source, with the source's pattern as the zero.
     Equal, overlapping, touching and gapped runs, an unread rotation as the
     right operand (rotate, then add), shifts that wrap, right operands read
     first.  A sign-bit pattern is a run.  An unread sparse right operand on
@@ -1270,7 +1321,12 @@ def test_slice_run_rules_match_dense_composition(data):
             [slice(lo, hi), slice(lo, hi, 1)] + ([slice(None, hi)] if lo == 0 else []))), value)
         out = eng.cmult(operand, mask)
         own_run = a_form in IS_RUN and operand is a       # a rotation reads its source
-        assert type(out) is SparseVector and (out.src is None) == own_run
+        if own_run:
+            assert type(out) is SparseVector and out.zero is a.zero
+        elif np.isfinite(a.slots).all():
+            assert type(out) is SparseVector and out.zero is _pattern(a)
+        else:
+            assert type(out) is SlotVector
         assert out.level == (None if a.level is None else a.level - 1)
         assert bits(out.slots) == bits(ref_cmult(eng, operand.slots, mask.index, value))
         return
@@ -1295,7 +1351,9 @@ def test_slice_run_rules_match_dense_composition(data):
     out = (eng.sub if op == "sub" else eng.add)(a, b)
     assert type(out) is (SparseVector if merged else SumVector if pending else SlotVector)
     if merged:
-        assert out.src is None and out.window == 1
+        assert out.window == 1 and zero_form(out) in ("float", "bits")
+        if "sign-bit pattern" not in (a_form, b_form):
+            assert zero_form(out) == "float"
         assert out.support.indices(size)[:2] == (min(alo, rb[0]), max(ahi, rb[1]))
     want_level = None if a.level is None else min(a.level, b.level)
     assert out.level == want_level
@@ -1308,7 +1366,8 @@ def test_slice_run_rules_match_dense_composition(data):
 def signed_run(draw, eng):
     """(a slice cmult of a rotated encrypted source, its slot range if it is
     a run).  The source is +0.0-signed but for one -0.0 or -1.0, mostly
-    negative, of mixed signs, or holds a NaN or an infinity (no run)."""
+    negative, of mixed signs, or holds a NaN or an infinity (no run: the
+    dense product)."""
     size = eng.config.slots
     kind = draw(st.sampled_from(["one negative", "mostly negative", "mixed", "non-finite"]))
     sign = -1.0 if kind == "mostly negative" else 1.0
@@ -1373,7 +1432,8 @@ def test_sign_bit_runs_match_dense_composition(data):
         run = None
         if merged:
             run = min(x_run[0], y_run[0]), max(x_run[1], y_run[1])
-            assert out.src is None and out.support.indices(size)[:2] == run
+            assert zero_form(out) in ("float", "bits")
+            assert out.support.indices(size)[:2] == run
             if type(out.zero) is np.ndarray:     # the off-union -0.0 slots, at least one
                 signs = np.roll(np.unpackbits(out.zero, count=size, bitorder="little"), -out.k)
                 off = np.r_[0:run[0], run[1]:size]
@@ -1419,8 +1479,7 @@ def test_reach_builds_match_dense_doublings(data):
         ref = np.full(size, zero)
     ref[lo:lo + length] = values
     level = None if backend == "exact" else 20
-    v = SparseVector(size, None, k, zero, slice(lo, lo + length), values, 1, level,
-                     next(eng._uid))
+    v = SparseVector(size, k, zero, slice(lo, lo + length), values, 1, level, next(eng._uid))
     step = 1
     while step < window:
         v, ref = eng.rotate_add(v, step), ref_rotate_add(ref, step)
@@ -1578,13 +1637,13 @@ def test_touching_runs_concatenate_only_finite_non_zero_values(data):
         else:
             signs = data.draw(arrays(np.uint8, size, elements=st.integers(0, 1)))
             zero, k = np.packbits(signs, bitorder="little"), data.draw(st.integers(0, size - 1))
-        runs.append(SparseVector(size, None, k, zero, slice(start, stop), values, 1, level,
+        runs.append(SparseVector(size, k, zero, slice(start, stop), values, 1, level,
                                  next(eng._uid)))
     a, b = runs if data.draw(st.booleans()) else runs[::-1]
     op = data.draw(st.sampled_from(["add", "sub"]))
     want = (np.add if op == "add" else np.subtract)(a.slots, b.slots)
-    a, b = (SparseVector(size, None, v.k, v.zero, v.support, v.values, 1, level,
-                         next(eng._uid)) for v in (a, b))       # unread twins
+    a, b = (SparseVector(size, v.k, v.zero, v.support, v.values, 1, level, next(eng._uid))
+            for v in (a, b))       # unread twins
     b = eng.rotate(b, 0)        # an unread rotation: a merge, not a pending sum
     with mock.patch.object(engine, "_spread", wraps=engine._spread) as spread:
         out = getattr(eng, op)(a, b)
@@ -1618,13 +1677,15 @@ def test_clear_bits_matches_the_unpacked_clear(data):
 @given(st.data())
 def test_block_sums_picked_from_the_reach_match_dense_composition(data):
     """A slice cmult of an unread reach-built window picks from the reach and
-    leaves the window unread; with a +0.0 zero it sets the window's
-    ``_pattern`` from the reach, and the block sums inherit it when their
-    values are finite and keep the picks' sign bits: a negative or -0.0
-    mask value refuses, as does a non-finite product or reach.  One-hot
+    sets the window's ``_pattern`` from the reach, for a zero of either
+    sign.  That pattern is the block sums' zero, and the window stays unread;
+    a reach with a NaN or an infinity has no pattern, and the product is the
+    dense one, which reads the window.  The block sums inherit the pattern
+    when their values are finite and keep the picks' sign bits: a negative
+    or -0.0 mask value refuses, as does a non-finite product.  One-hot
     cmults of rotations of the block sums read their values.  Reaches that
-    wrap at slot 0, a -0.0 zero, strides of either sign; patterns against
-    those of the built slots, bits against the dense composition."""
+    wrap at slot 0, strides of either sign; patterns against those of the
+    built slots, bits against the dense composition."""
     backend = data.draw(st.sampled_from(["exact", "leveled"]))
     size = data.draw(st.sampled_from([8, 16, 32, 64]))
     eng = lazy_engine(backend, size)
@@ -1637,11 +1698,9 @@ def test_block_sums_picked_from_the_reach_match_dense_composition(data):
         values[data.draw(st.integers(0, length - 1))] = data.draw(st.sampled_from(
             [float("nan"), float("inf")]))
     level = None if backend == "exact" else 20
-    v = SparseVector(size, None, 0, zero, slice(lo, lo + length), values, 1, level,
-                     next(eng._uid))
+    v = SparseVector(size, 0, zero, slice(lo, lo + length), values, 1, level, next(eng._uid))
     ref = v.slots.copy()
-    v = SparseVector(size, None, 0, zero, slice(lo, lo + length), values, 1, level,
-                     next(eng._uid))
+    v = SparseVector(size, 0, zero, slice(lo, lo + length), values, 1, level, next(eng._uid))
     step = 1
     while step < window:
         v, ref = eng.rotate_add(v, step), ref_rotate_add(ref, step)
@@ -1653,19 +1712,21 @@ def test_block_sums_picked_from_the_reach_match_dense_composition(data):
     value = data.draw(st.sampled_from([1.0, 2.5, 1e300, -3.0, 0.0, -0.0]))
     sums = eng.cmult(v, PlainMask.structured(size, index, value))
     sums_ref = ref_cmult(eng, ref, index, value)
-    assert v._cache is None
     window_pattern = getattr(v, "_pattern", False)
-    assert (window_pattern is False) == (zero != 0.0 or np.signbit(zero))
-    if window_pattern is not False:
-        assert same_pattern(window_pattern, dense_pattern(eng, ref))
+    assert window_pattern is not False
+    assert same_pattern(window_pattern, dense_pattern(eng, ref))
+    finite = window_pattern is not None
+    assert (v._cache is None) == finite
+    assert type(sums) is (SparseVector if finite else SlotVector)
+    if finite:
+        assert sums.zero is window_pattern
     picks = len(range(size)[index])
     inherited = getattr(sums, "_pattern", False)
     if inherited is not False:
         assert same_pattern(inherited, dense_pattern(eng, sums_ref))
     if picks and np.signbit(value):
         assert inherited is False
-    if (window_pattern is not False and window_pattern is not None and not np.signbit(value)
-            and np.isfinite(sums_ref).all()):
+    if finite and not np.signbit(value) and np.isfinite(sums_ref).all():
         assert inherited is not False
     for _ in range(data.draw(st.integers(0, 3))):
         k, i = data.draw(st.integers(-size, size)), data.draw(st.integers(0, size - 1))
@@ -1720,20 +1781,23 @@ def test_weight_update_runs_no_full_width_kernel(lam, monkeypatch):
 def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     """Traffic guard: one leveled training step builds exactly these lazy
     vectors, so a fast path that silently falls back to a build shows here
-    although its bits stay the same.  With n = 8 rows, m = 4 hidden units
-    and c = 3 classes: the block-start sums of the c output columns, over
-    dense windows, are read for the pattern that their placements' pending
-    sum takes (3), and the activation-derivative grid and the error signal
-    are slice cmults whose slots the one-hot cmults of ``keep_only`` read
-    (2); the first placement of each of the two matmuls starts its
-    accumulator (2); the c output weight rows are read by the dense product
-    with the hidden re-layout (3), and the bias ones of that re-layout are
-    its pending sum's base (1).  The m hidden columns' products of the
-    input block and a weight row, doubled to the row-sum window of 1 + d =
-    4 slots, stay unread, and so do their block sums: the block-start cmult
-    picks from the window's reach, the block sums inherit the pattern it
-    sets, and the placements read their values.  The rotations read are
-    the shifted partial sums of the output matmul's
+    although its bits stay the same.  The keys name the form of each
+    vector's zero: a float, or sign bits, which a cmult takes from a source
+    with a negative slot.  With n = 8 rows, m = 4 hidden units and c = 3
+    classes: the block-start sums of the c output columns, over dense
+    windows, are read for the pattern that their first placement's cmult
+    takes (3: two over sign bits, one over a float), and the
+    activation-derivative grid and the error signal are slice cmults over
+    sign bits whose slots the one-hot cmults of ``keep_only`` read (2); the
+    first placement of each of the two matmuls starts its accumulator (2,
+    one of each form); the c output weight rows are read by the dense
+    product with the hidden re-layout (3), and the bias ones of that
+    re-layout are its pending sum's base (1).  The m hidden columns'
+    products of the input block and a weight row, doubled to the row-sum
+    window of 1 + d = 4 slots, stay unread, and so do their block sums:
+    the block-start cmult picks from the window's reach, the block sums
+    inherit the pattern it sets, and the placements read their values.
+    The rotations read are the shifted partial sums of the output matmul's
     windowed sums over 1 + m = 5 slots, one per column (3).  The pending
     sums built (9) are one per result column of the two matmuls (7), the
     hidden re-layout and the error signal.  The m + c gradient rows, their
@@ -1752,7 +1816,7 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     build, rotated, summed = SparseVector._build, RotatedVector._build, SumVector._build
 
     def counted_build(v):
-        zero = "float" if v.src is None else "pattern"
+        zero = zero_form(v)
         support = "one-hot" if type(v.support) is int else type(v.support).__name__
         built[f"sparse {zero} {support}"] += 1
         return build(v)
@@ -1769,8 +1833,9 @@ def test_training_step_builds_only_the_counted_lazy_vectors(monkeypatch):
     monkeypatch.setattr(RotatedVector, "_build", counted_rotation)
     monkeypatch.setattr(SumVector, "_build", counted_sum)
     trainer.iterate()
-    assert dict(built) == {"sparse pattern slice": 5, "sparse pattern one-hot": 2,
-                           "sparse float slice": 4, "rotation": 3, "sum": 9}
+    assert dict(built) == {"sparse bits slice": 4, "sparse bits one-hot": 1,
+                           "sparse float slice": 5, "sparse float one-hot": 1, "rotation": 3,
+                           "sum": 9}
 
 
 def test_zscore_step_scans_each_input_row_once_and_keeps_its_products_sparse(monkeypatch):

@@ -13,7 +13,7 @@ from henn.encoding import Layout, encode_matrix
 from henn.engine import EngineConfig, OpTrace, SlotEngine
 from henn.linalg import dvr_matmul, vr_matmul
 
-from conftest import DenseEngine, bits
+from conftest import DenseEngine, bits, make_regression_batch
 
 train_module = importlib.import_module("henn.train")     # henn.train is also the function
 
@@ -76,9 +76,9 @@ def test_matmul_matches_the_dense_composition_on_every_slot(backend, layout, n, 
     assert entries == dense_entries
 
 
-def desk_run(cls, backend, monkeypatch):
-    """train() on iris, hidden 16, 4096 slots, 2 iterations, on engine class
-    cls: the report, the trace and every slot of the final weights."""
+def train_run(cls, monkeypatch, batch, backend, slots, **kwargs):
+    """An instrumented train() on engine class cls: the report and the
+    trainer."""
     trainers = []
 
     class Recorded(train_module.EncryptedTrainer):
@@ -88,10 +88,18 @@ def desk_run(cls, backend, monkeypatch):
 
     monkeypatch.setattr(train_module, "SlotEngine", cls)
     monkeypatch.setattr(train_module, "EncryptedTrainer", Recorded)
-    report = train_module.train(data.preprocess(data.load_iris()), hidden=16, iterations=2,
-                                backend=backend, instrument=True,
-                                engine_config=EngineConfig(slots=4096, backend=backend))
+    report = train_module.train(batch, backend=backend, instrument=True,
+                                engine_config=EngineConfig(slots=slots, backend=backend),
+                                **kwargs)
     (trainer,) = trainers
+    return report, trainer
+
+
+def desk_run(cls, backend, monkeypatch):
+    """train() on iris, hidden 16, 4096 slots, 2 iterations, on engine class
+    cls: the report, the trace and every slot of the final weights."""
+    report, trainer = train_run(cls, monkeypatch, data.preprocess(data.load_iris()), backend,
+                                4096, hidden=16, iterations=2)
     weights = [part for em in trainer.W_enc + trainer.V_enc for part in em.parts]
     assert len(report.iterations) == 2 and report.halted is None
     return (bits(report.W), bits(report.V), trainer.engine.trace.entries,
@@ -108,3 +116,44 @@ def test_desk_training_matches_the_dense_composition_on_every_slot(backend, monk
     assert lazy[:2] == dense[:2]
     assert lazy[2] == dense[2]
     assert lazy[3] == dense[3]
+
+
+def whole_run(cls, monkeypatch, batch, backend, **kwargs):
+    """train() at hidden 4 on 1024 slots on engine class cls: the bits of W
+    and V, the halt record, the depth report and the trace."""
+    report, trainer = train_run(cls, monkeypatch, batch, backend, 1024, hidden=4, **kwargs)
+    return (bits(report.W), bits(report.V), report.halted, report.depth,
+            trainer.engine.trace.entries)
+
+
+def batch_of(source):
+    """Iris scaled by minmax or zscore, or a regression batch of 150 x 4."""
+    if source == "regression":
+        return make_regression_batch(np.random.default_rng(0), 150, 4)
+    return data.preprocess(data.load_iris(), source)
+
+
+# (backend, data, loss, lambda, iterations): each loss kind, zscore inputs
+# (rows with -0.0 zeros), L2 and both on either backend; a leveled run that
+# halts on the level budget in its third iteration; mse regression
+RUNS = ([(backend, scheme, loss, lam, 2) for backend in ("exact", "leveled")
+         for scheme, loss, lam in [("minmax", "sle2", 0.0), ("minmax", "sle1", 0.0),
+                                   ("minmax", "sle1s", 0.0), ("minmax", "sle", 0.0),
+                                   ("zscore", "sle2", 0.0), ("minmax", "sle2", 0.01),
+                                   ("zscore", "sle2", 0.01)]]
+        + [("leveled", "minmax", "sle2", 0.0, 3)]
+        + [(backend, "regression", "mse", 0.0, 2) for backend in ("exact", "leveled")])
+
+
+@pytest.mark.parametrize("backend, source, loss, lam, iterations", RUNS)
+def test_training_runs_match_the_dense_composition(backend, source, loss, lam, iterations,
+                                                   monkeypatch):
+    """Whole training runs at hidden 4 on 1024 slots: the bits of W and V,
+    the halt record (reason and detail), the depth report and the trace are
+    those of the dense composition."""
+    batch = batch_of(source)
+    lazy, dense = (whole_run(cls, monkeypatch, batch, backend, loss=loss, lam=lam,
+                             iterations=iterations) for cls in (SlotEngine, DenseEngine))
+    if iterations == 3:
+        assert lazy[2]["reason"] == "depth_exhausted" and lazy[2]["iterations_completed"] == 2
+    assert lazy == dense
